@@ -38,6 +38,10 @@ Scaling past one loop (this PR's serving stack, cf. the §6.3 estimates):
   :class:`MailboxDirectory` (warm OT pools, stacked model rows) and windowed
   :class:`ProviderRuntime`.  Shards are embarrassingly parallel because all
   decrypt batching is per key pair, which never crosses a mailbox.
+* :class:`ShardRouter` — the parent side of any sharded deployment: routing,
+  job bookkeeping, registrations, results, metrics and recovery, over
+  two-method worker links.  :class:`ShardedRuntime` drives pipe links;
+  :class:`repro.fabric.control.FabricRuntime` drives TCP links.
 """
 
 from __future__ import annotations
@@ -564,6 +568,11 @@ class ProviderRuntime(SessionLoop):
         return len(self._disconnected)
 
     # -- windowed serving ----------------------------------------------------
+    def run(self, jobs: Sequence[SessionJob]) -> None:
+        """Drive every job to completion; each one counts as a served email."""
+        super().run(jobs)
+        self._metric_emails.inc(len(jobs))
+
     def serve_burst(self, jobs: Sequence[SessionJob]) -> list[SessionJob]:
         """Admit *jobs*, pump everything deliverable, close due windows.
 
@@ -1520,6 +1529,19 @@ def _make_scheduler(spec: tuple) -> DecryptScheduler:
     raise ProtocolError(f"unknown scheduler spec kind {kind!r}")
 
 
+def scheduler_spec(
+    window_bursts: int,
+    max_pending_ciphertexts: int | None,
+    max_delay_seconds: float | None,
+    adaptive: bool,
+    adaptive_options: Mapping[str, Any] | None,
+) -> tuple:
+    """The picklable spec :func:`_make_scheduler` turns into a scheduler."""
+    if adaptive:
+        return ("adaptive", dict(adaptive_options or {}))
+    return ("static", window_bursts, max_pending_ciphertexts, max_delay_seconds)
+
+
 class ShardWorkerCore:
     """One shard's brain, divorced from its transport.
 
@@ -1787,19 +1809,359 @@ def _shard_worker_main(
 class _OutstandingItem:
     """Parent-side record of a submitted email, kept until its result lands.
 
-    This is all the state needed to resubmit the email after a shard restart
-    (frames never leave the worker, so an email in flight on a killed shard
-    simply re-runs from its features).
+    This is all the state needed to resubmit the email after its worker is
+    replaced or its slot moves (frames never leave the worker, so an email
+    in flight on a lost worker simply re-runs from its features).
     """
 
-    shard: int
+    slot: int
     kind: str
     address: str
     features: SparseVector
     candidates: Sequence[int] | None = None
 
+    def burst_entry(self, job_id: int) -> tuple:
+        return (job_id, self.kind, self.address, self.features, self.candidates)
 
-class ShardedRuntime:
+
+class ShardRouter:
+    """The parent half of a sharded deployment, whatever carries its commands.
+
+    The mailbox hash space is split into *slots* (:func:`shard_of_address`)
+    and each slot is owned by one worker, reached through a **link**: any
+    object with ``send(command, payload)`` and ``receive() -> (tag, body)``
+    speaking the :class:`ShardWorkerCore` command vocabulary, plus a
+    ``name``, an ``alive`` flag and a ``metrics`` slot holding the worker's
+    latest cumulative registry snapshot.  :class:`ShardedRuntime` links are
+    pipes to local processes; :class:`repro.fabric.control.FabricRuntime`
+    links are TCP control channels to remote agents.  Everything else lives
+    here, once: routing, job ids, outstanding items (resubmission capital),
+    registrations (replayed onto any worker that takes a slot over), landed
+    results and metrics.
+
+    Fan-outs send to every addressed link before receiving from any, so
+    workers compute their slices concurrently; every reply is received
+    before the first failure is raised, so no link is left holding a stale
+    reply.
+
+    Metrics fold once by construction: workers report *cumulative*
+    snapshots, a link keeps only its latest, and every link incarnation the
+    router ever held contributes that snapshot exactly once to
+    :meth:`aggregated_metrics` — a restarted, replaced, evicted or migrated
+    worker is counted, and never twice.
+    """
+
+    def __init__(self, num_slots: int) -> None:
+        self._slot_owner = list(range(num_slots))
+        self._links: list[Any] = []
+        self._held: list[Any] = []  # every link incarnation, for fold-once metrics
+        # Job ids restart from zero in every parent, so checkpoints are bound
+        # to this router: a leftover blob from an earlier parent is refused
+        # at restore (recompute fallback) instead of resumed under colliding
+        # ids.
+        self._incarnation = os.urandom(8).hex()
+        self._registrations: list[tuple[int, str, tuple]] = []  # (slot, command, payload)
+        self._registered: set[tuple[str, str]] = set()  # (kind, address)
+        self._outstanding: dict[int, _OutstandingItem] = {}
+        self._results: dict[int, Any] = {}
+        self._job_ids = itertools.count()
+        self._closed = False
+
+    # -- links ---------------------------------------------------------------
+    def _install(self, link: Any, index: int | None = None) -> int:
+        """Hold *link* at *index* (a new position when ``None``)."""
+        if index is None:
+            index = len(self._links)
+            self._links.append(link)
+        else:
+            self._links[index] = link
+        self._held.append(link)
+        return index
+
+    def _link(self, index: int) -> Any:
+        if not 0 <= index < len(self._links):
+            raise ProtocolError(f"no worker {index} in this runtime")
+        return self._links[index]
+
+    def _live_indexes(self) -> list[int]:
+        return [index for index, link in enumerate(self._links) if link.alive]
+
+    def _serving_indexes(self) -> list[int]:
+        """Live workers that currently own at least one slot."""
+        owners = set(self._slot_owner)
+        return [index for index in self._live_indexes() if index in owners]
+
+    def _slots_of(self, index: int) -> set[int]:
+        return {slot for slot, owner in enumerate(self._slot_owner) if owner == index}
+
+    def _fanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
+        """Send every ``(index, command, payload)``, then receive every reply."""
+        if self._closed:
+            raise ProtocolError("this runtime is closed")
+        failure: Exception | None = None
+        sent = []
+        for index, command, payload in work:
+            try:
+                link = self._link(index)
+                link.send(command, payload)
+                sent.append((link, command))
+            except Exception as error:  # noqa: BLE001 — raised after the replies
+                failure = failure or error
+        bodies = []
+        for link, command in sent:
+            try:
+                bodies.append(self._absorb(link, command, *link.receive()))
+            except Exception as error:  # noqa: BLE001 — raised after the replies
+                failure = failure or error
+        if failure is not None:
+            raise failure
+        return bodies
+
+    def _request(self, index: int, command: str, payload: Any) -> Any:
+        return self._fanout([(index, command, payload)])[0]
+
+    def _absorb(self, link: Any, command: str, tag: str, body: Any) -> Any:
+        """Land the results and metrics one reply carries; return its body."""
+        if tag == "error":
+            raise ProtocolError(f"{link.name} rejected {command!r}: {body}")
+        if tag in ("results", "restored", "checkpointed"):
+            *_, results, metrics = body
+            for job_id, result in results:
+                self._results[job_id] = result
+                self._outstanding.pop(job_id, None)
+            link.metrics = metrics
+        elif tag == "stats":
+            link.metrics = body["metrics"]
+        return body
+
+    def _recover(
+        self, index: int, slots: set[int], resume: bool, blob: bytes | None = None
+    ) -> int:
+        """Make worker *index* the owner of *slots*, with their work intact.
+
+        Replays the slots' registrations, then — when *resume* — restores
+        open windows (from *blob*, or the worker's own checkpoint log when
+        ``None``) and backfills OT pools; finally resubmits every outstanding
+        email of those slots that the restore did not cover.  The one
+        recovery sequence behind shard restart, agent replacement and live
+        migration.  Returns the number of resubmitted emails, so ``0`` means
+        every in-flight email resumed from its snapshot.
+        """
+        for slot, command, payload in self._registrations:
+            if slot in slots:
+                # When a checkpoint will be restored, defer the per-pair OT
+                # handshakes: restored pools replace them for checkpointed
+                # mailboxes, and ensure_pools backfills the rest — paying
+                # base OTs only to overwrite them would be dead recovery time.
+                self._request(index, command, (*payload, True) if resume else payload)
+        resumed: set[int] = set()
+        if resume:
+            resumed_ids, _results, _metrics = self._request(index, "restore", blob)
+            resumed = set(resumed_ids)
+            self._request(index, "ensure_pools", None)
+        for slot in slots:
+            self._slot_owner[slot] = index
+        resubmit = [
+            item.burst_entry(job_id)
+            for job_id, item in sorted(self._outstanding.items())
+            if item.slot in slots and job_id not in resumed
+        ]
+        if resubmit:
+            self._request(index, "burst", resubmit)
+        return len(resubmit)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- registration --------------------------------------------------------
+    def shard_of(self, address: str) -> int:
+        return shard_of_address(address, len(self._slot_owner))
+
+    def _register(self, kind: str, address: str, protocol: Any, setup: Any) -> None:
+        slot = self.shard_of(address)
+        command, payload = f"register_{kind}", (address, protocol, setup)
+        self._request(self._slot_owner[slot], command, payload)
+        self._registrations.append((slot, command, payload))
+        self._registered.add((kind, address))
+
+    def register_spam(
+        self, address: str, protocol: SpamFilterProtocol, setup: SpamSetup
+    ) -> None:
+        self._register("spam", address, protocol, setup)
+
+    def register_topics(
+        self, address: str, protocol: TopicExtractionProtocol, setup: TopicSetup
+    ) -> None:
+        self._register("topics", address, protocol, setup)
+
+    def has_spam(self, address: str) -> bool:
+        return ("spam", address) in self._registered
+
+    def has_topics(self, address: str) -> bool:
+        return ("topics", address) in self._registered
+
+    # -- submission / results ------------------------------------------------
+    def _submit(self, items: list[_OutstandingItem]) -> list[int]:
+        for item in items:
+            if (item.kind, item.address) not in self._registered:
+                raise ProtocolError(
+                    f"no {item.kind} mailbox registered for {item.address!r}; "
+                    "burst refused"
+                )
+        job_ids = []
+        by_owner: dict[int, list[tuple]] = {}
+        for item in items:
+            job_id = next(self._job_ids)
+            job_ids.append(job_id)
+            self._outstanding[job_id] = item
+            by_owner.setdefault(self._slot_owner[item.slot], []).append(
+                item.burst_entry(job_id)
+            )
+        self._fanout([(owner, "burst", batch) for owner, batch in by_owner.items()])
+        return job_ids
+
+    def submit_spam(self, emails: Sequence[tuple[str, SparseVector]]) -> list[int]:
+        """Submit one burst of (address, features) emails; returns their job ids.
+
+        Each worker runs its slice of the burst through its windowed serving
+        loop; results that complete immediately (closed windows) are already
+        collected when this returns — the rest arrive with later bursts or
+        :meth:`drain`.  A burst naming an unregistered mailbox is refused
+        whole, before any slice is sent.
+        """
+        return self._submit(
+            [
+                _OutstandingItem(self.shard_of(address), "spam", address, features)
+                for address, features in emails
+            ]
+        )
+
+    def submit_topics(
+        self, emails: Sequence[tuple[str, SparseVector, Sequence[int] | None]]
+    ) -> list[int]:
+        """Submit one burst of (address, features, candidates) topic emails."""
+        return self._submit(
+            [
+                _OutstandingItem(self.shard_of(address), "topics", address, features, candidates)
+                for address, features, candidates in emails
+            ]
+        )
+
+    def poll(self) -> int:
+        """Tick every serving worker's age triggers; returns new results landed.
+
+        Workers also self-tick while their link is idle, so calling this is
+        never *required* for progress — it exists so tests and latency-probe
+        loops can force the flush deterministically and observe the results
+        synchronously (each ``poll`` reply carries any jobs the worker's idle
+        ticks finished since its last results-bearing reply).
+        """
+        before = len(self._results)
+        self._fanout([(index, "poll", None) for index in self._serving_indexes()])
+        return len(self._results) - before
+
+    def drain(self) -> None:
+        """Close every serving worker's open windows; all outstanding results land."""
+        self._fanout([(index, "drain", None) for index in self._serving_indexes()])
+
+    # -- reconnect-resume ----------------------------------------------------
+    def _owner_of_job(self, job_id: int) -> int:
+        item = self._outstanding.get(job_id)
+        if item is None:
+            raise ProtocolError(f"job {job_id} is not outstanding (finished or unknown)")
+        return self._slot_owner[item.slot]
+
+    def disconnect_client(self, job_id: int) -> bytes:
+        """Detach the client of an in-flight email; returns its snapshot bytes.
+
+        Models a mail client losing its connection mid-protocol: the owning
+        worker parks the provider session (and its decrypt-window entries)
+        server-side and hands back the serialized client ``SessionState`` —
+        the bytes the device carries offline.  The job stays outstanding (its
+        result will land only after :meth:`reconnect_client`), and nothing is
+        recomputed on either side.
+        """
+        return self._request(self._owner_of_job(job_id), "disconnect", job_id)
+
+    def reconnect_client(self, job_id: int, state: bytes) -> None:
+        """Resume a disconnected email from its snapshot on a fresh channel.
+
+        The owning worker restores the client session from *state*, opens a
+        fresh channel, and re-attaches the parked provider session — the
+        protocol picks up exactly where it stopped, with zero resubmissions.
+        The result lands with the next burst or :meth:`drain` that closes the
+        job's decrypt window.
+        """
+        self._request(self._owner_of_job(job_id), "reconnect", (job_id, bytes(state)))
+
+    def take_result(self, job_id: int) -> Any:
+        """Pop the protocol result for *job_id* (drain first if still open)."""
+        if job_id not in self._results:
+            raise ProtocolError(
+                f"no result for job {job_id} yet "
+                f"({len(self._outstanding)} emails still inside open windows)"
+            )
+        return self._results.pop(job_id)
+
+    def outstanding_count(self) -> int:
+        return len(self._outstanding)
+
+    def run_spam_stream(
+        self, bursts: Sequence[Sequence[tuple[str, SparseVector]]]
+    ) -> list[SpamProtocolResult]:
+        """Feed bursts through the workers, drain, return results in order."""
+        job_ids: list[int] = []
+        for burst in bursts:
+            job_ids.extend(self.submit_spam(burst))
+        self.drain()
+        return [self.take_result(job_id) for job_id in job_ids]
+
+    def aggregated_metrics(self) -> dict:
+        """One merged metrics snapshot covering every worker, past and present.
+
+        The latest cumulative snapshot of every link incarnation this router
+        ever held, each counted once.  Because workers report cumulatively
+        and a link replaces (never adds) its snapshot, restarts, evictions
+        and migrations cannot double-count — the property the crash-recovery
+        metrics tests pin.
+        """
+        snaps = [link.metrics for link in self._held if link.metrics is not None]
+        return merge_snapshots(*snaps) if snaps else empty_snapshot()
+
+
+class _PipeLink:
+    """A worker link over a ``multiprocessing`` pipe to one local process."""
+
+    alive = True  # a dead process shows up as a failed send/receive
+
+    def __init__(self, shard: int, connection: Any, process: Any) -> None:
+        self.name = f"shard {shard}"
+        self.connection = connection
+        self.process = process
+        self.metrics: dict | None = None
+
+    def _died(self, error: BaseException) -> ProtocolError:
+        return ProtocolError(
+            f"{self.name} worker died (restart_shard can recover it): {error}"
+        )
+
+    def send(self, command: str, payload: Any) -> None:
+        try:
+            self.connection.send((command, payload))
+        except (EOFError, OSError) as error:
+            raise self._died(error) from error
+
+    def receive(self) -> tuple[str, Any]:
+        try:
+            return self.connection.recv()
+        except (EOFError, OSError) as error:
+            raise self._died(error) from error
+
+
+class ShardedRuntime(ShardRouter):
     """Partition the serving loop across worker processes by mailbox hash.
 
     Each of the ``num_shards`` workers owns the mailboxes that
@@ -1808,6 +2170,7 @@ class ShardedRuntime:
     across bursts) and its own windowed :class:`ProviderRuntime`.  Because
     decrypt batching is per key pair, shards never need to coordinate — the
     partition is embarrassingly parallel, which is the §6.3 scaling story.
+    The drive API is :class:`ShardRouter`'s, over pipe links.
 
     The runtime survives worker loss two ways.  With a *checkpoint_dir*,
     every worker persists its open decrypt windows as ``SessionState``
@@ -1838,45 +2201,18 @@ class ShardedRuntime:
             start_method = (
                 "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
             )
+        super().__init__(num_shards)
         self.num_shards = num_shards
-        if adaptive:
-            self._scheduler_spec: tuple = ("adaptive", dict(adaptive_options or {}))
-        else:
-            self._scheduler_spec = (
-                "static",
-                window_bursts,
-                max_pending_ciphertexts,
-                max_delay_seconds,
-            )
+        self._scheduler_spec = scheduler_spec(
+            window_bursts, max_pending_ciphertexts, max_delay_seconds, adaptive, adaptive_options
+        )
         self._checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
-        # Job ids restart from zero in every parent, so checkpoints are bound
-        # to this runtime instance: a leftover blob from an earlier parent in
-        # the same directory is refused at restore (recompute fallback)
-        # instead of resumed under colliding ids.
-        self._incarnation = os.urandom(8).hex()
         self._context = multiprocessing.get_context(start_method)
-        self._connections: list[Any] = []
-        self._processes: list[Any] = []
-        self._registrations: list[tuple[int, str, tuple]] = []
-        self._registered: set[tuple[str, str]] = set()  # (kind, address)
-        self._outstanding: dict[int, _OutstandingItem] = {}
-        self._results: dict[int, Any] = {}
-        self._job_ids = itertools.count()
-        self._closed = False
-        # Cross-shard metrics aggregation.  Workers report *cumulative*
-        # registry snapshots; per shard the parent keeps only the live
-        # incarnation's latest (replacing, never adding) plus a base holding
-        # the final snapshots of dead incarnations — so a restarted worker's
-        # counts are folded in exactly once and nothing double-counts.
-        self._shard_metrics: dict[int, dict] = {}
-        self._shard_metrics_base: dict[int, dict] = {}
         for shard in range(num_shards):
-            connection, process = self._spawn_worker(shard)
-            self._connections.append(connection)
-            self._processes.append(process)
+            self._install(self._spawn_worker(shard))
 
     # -- worker lifecycle ----------------------------------------------------
-    def _spawn_worker(self, shard: int) -> tuple[Any, Any]:
+    def _spawn_worker(self, shard: int) -> _PipeLink:
         parent_connection, child_connection = self._context.Pipe()
         process = self._context.Process(
             target=_shard_worker_main,
@@ -1891,46 +2227,12 @@ class ShardedRuntime:
         )
         process.start()
         child_connection.close()
-        return parent_connection, process
+        return _PipeLink(shard, parent_connection, process)
 
-    def _send(self, shard: int, command: str, payload: Any) -> None:
-        if self._closed:
-            raise ProtocolError("the sharded runtime is closed")
-        try:
-            self._connections[shard].send((command, payload))
-        except (EOFError, OSError, BrokenPipeError) as error:
-            raise ProtocolError(
-                f"shard {shard} worker died (restart_shard can recover it): {error}"
-            ) from error
-
-    def _collect(self, shard: int, command: str) -> Any:
-        try:
-            tag, body = self._connections[shard].recv()
-        except (EOFError, OSError, BrokenPipeError) as error:
-            raise ProtocolError(
-                f"shard {shard} worker died (restart_shard can recover it): {error}"
-            ) from error
-        if tag == "error":
-            raise ProtocolError(f"shard {shard} rejected {command!r}: {body}")
-        if tag == "results":
-            results, metrics = body
-            for job_id, result in results:
-                self._results[job_id] = result
-                self._outstanding.pop(job_id, None)
-            self._shard_metrics[shard] = metrics
-        elif tag == "restored":
-            _resumed_ids, results, metrics = body
-            for job_id, result in results:
-                self._results[job_id] = result
-                self._outstanding.pop(job_id, None)
-            self._shard_metrics[shard] = metrics
-        elif tag == "stats" and isinstance(body, dict) and "metrics" in body:
-            self._shard_metrics[shard] = body["metrics"]
-        return body
-
-    def _request(self, shard: int, command: str, payload: Any) -> Any:
-        self._send(shard, command, payload)
-        return self._collect(shard, command)
+    def _check_shard(self, shard: int) -> _PipeLink:
+        if not 0 <= shard < self.num_shards:
+            raise ProtocolError(f"no shard {shard} in a {self.num_shards}-shard runtime")
+        return self._links[shard]
 
     def restart_shard(self, shard: int, resume: bool = True) -> int:
         """Kill one worker and rebuild it: replay registrations, resume, resubmit.
@@ -1946,242 +2248,39 @@ class ShardedRuntime:
         recompute fallback.  Returns the number of resubmitted emails, so
         ``0`` means every in-flight email was resumed from its snapshot.
         """
-        if not 0 <= shard < self.num_shards:
-            raise ProtocolError(f"no shard {shard} in a {self.num_shards}-shard runtime")
-        process = self._processes[shard]
-        process.terminate()
-        process.join(timeout=10.0)
-        self._connections[shard].close()
-        # The dying incarnation's cumulative snapshot becomes part of this
-        # shard's base — folded exactly once; the fresh worker starts a new
-        # cumulative series from zero.
-        final = self._shard_metrics.pop(shard, None)
-        if final is not None:
-            base = self._shard_metrics_base.get(shard)
-            self._shard_metrics_base[shard] = (
-                merge_snapshots(base, final) if base is not None else final
-            )
-        # Rebuild in place so shard indices (and the address partition) hold.
-        parent_connection, fresh = self._spawn_worker(shard)
-        self._connections[shard] = parent_connection
-        self._processes[shard] = fresh
-        resuming = resume and self._checkpoint_dir is not None
-        for registered_shard, command, payload in self._registrations:
-            if registered_shard == shard:
-                # When a checkpoint will be restored, defer the per-pair OT
-                # handshakes: restored pools replace them for checkpointed
-                # mailboxes, and ensure_pools backfills the rest — paying
-                # base OTs only to overwrite them would be dead recovery time.
-                self._request(shard, command, (*payload, True) if resuming else payload)
-        resumed: set[int] = set()
-        if resuming:
-            resumed_ids, _results, _metrics = self._request(shard, "restore", None)
-            resumed = set(resumed_ids)
-            self._request(shard, "ensure_pools", None)
-        resubmit = [
-            (job_id, item)
-            for job_id, item in self._outstanding.items()
-            if item.shard == shard and job_id not in resumed
-        ]
-        if resubmit:
-            self._request(
-                shard,
-                "burst",
-                [
-                    (job_id, item.kind, item.address, item.features, item.candidates)
-                    for job_id, item in resubmit
-                ],
-            )
-        return len(resubmit)
+        old = self._check_shard(shard)
+        old.process.terminate()
+        old.process.join(timeout=10.0)
+        old.connection.close()
+        # Rebuild in place so shard indices (and the address partition) hold;
+        # the dead incarnation's last snapshot stays held, counted once.
+        self._install(self._spawn_worker(shard), shard)
+        return self._recover(shard, {shard}, resume and self._checkpoint_dir is not None)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for connection, process in zip(self._connections, self._processes):
+        for link in self._links:
             try:
-                connection.send(("stop", None))
-                connection.recv()
-            except (EOFError, OSError, BrokenPipeError):
+                link.send("stop", None)
+                link.receive()
+            except ProtocolError:
                 pass
-            connection.close()
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=10.0)
-
-    def __enter__(self) -> "ShardedRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            link.connection.close()
+        for link in self._links:
+            link.process.join(timeout=10.0)
+            if link.process.is_alive():
+                link.process.terminate()
+                link.process.join(timeout=10.0)
 
     def worker_pid(self, shard: int) -> int:
         """The OS pid of one shard's worker (crash drills SIGKILL this)."""
-        if not 0 <= shard < self.num_shards:
-            raise ProtocolError(f"no shard {shard} in a {self.num_shards}-shard runtime")
-        return self._processes[shard].pid
+        return self._check_shard(shard).process.pid
 
     def join_worker(self, shard: int, timeout: float = 10.0) -> None:
         """Wait for one shard's worker process to exit (after a kill)."""
-        self._processes[shard].join(timeout=timeout)
-
-    # -- registration --------------------------------------------------------
-    def shard_of(self, address: str) -> int:
-        return shard_of_address(address, self.num_shards)
-
-    def register_spam(
-        self, address: str, protocol: SpamFilterProtocol, setup: SpamSetup
-    ) -> None:
-        shard = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(shard, "register_spam", payload)
-        self._registrations.append((shard, "register_spam", payload))
-        self._registered.add(("spam", address))
-
-    def register_topics(
-        self, address: str, protocol: TopicExtractionProtocol, setup: TopicSetup
-    ) -> None:
-        shard = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(shard, "register_topics", payload)
-        self._registrations.append((shard, "register_topics", payload))
-        self._registered.add(("topics", address))
-
-    def has_spam(self, address: str) -> bool:
-        return ("spam", address) in self._registered
-
-    def has_topics(self, address: str) -> bool:
-        return ("topics", address) in self._registered
-
-    # -- submission / results ------------------------------------------------
-    def _submit(self, items: list[_OutstandingItem]) -> list[int]:
-        job_ids = []
-        by_shard: dict[int, list[tuple]] = {}
-        for item in items:
-            job_id = next(self._job_ids)
-            job_ids.append(job_id)
-            self._outstanding[job_id] = item
-            by_shard.setdefault(item.shard, []).append(
-                (job_id, item.kind, item.address, item.features, item.candidates)
-            )
-        # Fan out before collecting: every worker computes its slice of the
-        # burst concurrently; the replies are gathered only afterwards.
-        for shard, shard_items in by_shard.items():
-            self._send(shard, "burst", shard_items)
-        for shard in by_shard:
-            self._collect(shard, "burst")
-        return job_ids
-
-    def submit_spam(self, emails: Sequence[tuple[str, SparseVector]]) -> list[int]:
-        """Submit one burst of (address, features) emails; returns their job ids.
-
-        Each shard runs its slice of the burst through its windowed serving
-        loop; results that complete immediately (closed windows) are already
-        collected when this returns — the rest arrive with later bursts or
-        :meth:`drain`.
-        """
-        return self._submit(
-            [
-                _OutstandingItem(
-                    shard=self.shard_of(address), kind="spam", address=address, features=features
-                )
-                for address, features in emails
-            ]
-        )
-
-    def submit_topics(
-        self, emails: Sequence[tuple[str, SparseVector, Sequence[int] | None]]
-    ) -> list[int]:
-        """Submit one burst of (address, features, candidates) topic emails."""
-        return self._submit(
-            [
-                _OutstandingItem(
-                    shard=self.shard_of(address),
-                    kind="topics",
-                    address=address,
-                    features=features,
-                    candidates=candidates,
-                )
-                for address, features, candidates in emails
-            ]
-        )
-
-    def poll(self) -> int:
-        """Tick every shard's age triggers; returns how many new results landed.
-
-        Workers also self-tick while their pipe is idle, so calling this is
-        never *required* for progress — it exists so tests and latency-probe
-        loops can force the flush deterministically and observe the results
-        synchronously (each shard's ``poll`` reply carries any jobs its idle
-        ticks finished since the last results-bearing reply).
-        """
-        before = len(self._results)
-        for shard in range(self.num_shards):
-            self._send(shard, "poll", None)
-        for shard in range(self.num_shards):
-            self._collect(shard, "poll")
-        return len(self._results) - before
-
-    def drain(self) -> None:
-        """Close every shard's open windows; all outstanding results land."""
-        for shard in range(self.num_shards):
-            self._send(shard, "drain", None)
-        for shard in range(self.num_shards):
-            self._collect(shard, "drain")
-
-    # -- reconnect-resume ----------------------------------------------------
-    def disconnect_client(self, job_id: int) -> bytes:
-        """Detach the client of an in-flight email; returns its snapshot bytes.
-
-        Models a mail client losing its connection mid-protocol: the owning
-        shard parks the provider session (and its decrypt-window entries)
-        server-side and hands back the serialized client ``SessionState`` —
-        the bytes the device carries offline.  The job stays outstanding (its
-        result will land only after :meth:`reconnect_client`), and nothing is
-        recomputed on either side.
-        """
-        item = self._outstanding.get(job_id)
-        if item is None:
-            raise ProtocolError(f"job {job_id} is not outstanding (finished or unknown)")
-        return self._request(item.shard, "disconnect", job_id)
-
-    def reconnect_client(self, job_id: int, state: bytes) -> None:
-        """Resume a disconnected email from its snapshot on a fresh channel.
-
-        The owning shard restores the client session from *state*, opens a
-        fresh channel, and re-attaches the parked provider session — the
-        protocol picks up exactly where it stopped, with zero resubmissions.
-        The result lands with the next burst or :meth:`drain` that closes the
-        job's decrypt window.
-        """
-        item = self._outstanding.get(job_id)
-        if item is None:
-            raise ProtocolError(f"job {job_id} is not outstanding (finished or unknown)")
-        self._request(item.shard, "reconnect", (job_id, bytes(state)))
-
-    def take_result(self, job_id: int) -> Any:
-        """Pop the protocol result for *job_id* (drain first if still open)."""
-        if job_id not in self._results:
-            raise ProtocolError(
-                f"no result for job {job_id} yet "
-                f"({len(self._outstanding)} emails still inside open windows)"
-            )
-        return self._results.pop(job_id)
-
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)
-
-    def run_spam_stream(
-        self, bursts: Sequence[Sequence[tuple[str, SparseVector]]]
-    ) -> list[SpamProtocolResult]:
-        """Feed bursts through the shards, drain, return results in order."""
-        job_ids: list[int] = []
-        for burst in bursts:
-            job_ids.extend(self.submit_spam(burst))
-        self.drain()
-        return [self.take_result(job_id) for job_id in job_ids]
+        self._links[shard].process.join(timeout=timeout)
 
     def shard_stats(self) -> list[dict[str, Any]]:
         """Per-shard serving stats (mailboxes, decrypt batch sizes, backlog).
@@ -2189,16 +2288,4 @@ class ShardedRuntime:
         Each dict also carries the worker's cumulative registry snapshot
         under ``"metrics"`` — a thin read of the worker-side registry.
         """
-        return [self._request(shard, "stats", None) for shard in range(self.num_shards)]
-
-    def aggregated_metrics(self) -> dict:
-        """One merged metrics snapshot covering every worker, past and present.
-
-        The sum of each shard's dead-incarnation base and the live
-        incarnation's latest cumulative snapshot.  Because workers report
-        cumulatively and the parent replaces (never adds) the live snapshot,
-        a SIGKILL + restore cycle cannot double-count — the property the
-        crash-recovery metrics test pins.
-        """
-        snaps = list(self._shard_metrics_base.values()) + list(self._shard_metrics.values())
-        return merge_snapshots(*snaps) if snaps else empty_snapshot()
+        return self._fanout([(shard, "stats", None) for shard in range(self.num_shards)])

@@ -1,23 +1,25 @@
 """Cross-host shard fabric: TCP agents, a versioned control plane, migration.
 
-The in-box :class:`~repro.core.runtime.ShardedRuntime` scales Pretzel's
-serving loop across *processes*; this package scales it across *hosts*.
-Each remote **agent** (:mod:`repro.fabric.agent`) is a standalone process
-serving one :class:`~repro.core.runtime.ShardWorkerCore` — the same shard
-brain the pipe workers run — over the reliable TCP control channel, so the
-two fabrics cannot drift in semantics.  The parent-side
-:class:`~repro.fabric.control.FabricRuntime` speaks the versioned CONTROL
-frame family of :mod:`repro.twopc.wire` (HELLO registration replay,
-seq-tagged COMMAND/REPLY, HEARTBEAT health, streamed METRICS snapshots) and
-mirrors the ``ShardedRuntime`` drive API, so
-:meth:`~repro.core.system.PretzelSystem.drain_all_mailboxes_sharded` runs
-unchanged on either.
+One parent-side router, two link kinds.  The in-box
+:class:`~repro.core.runtime.ShardedRuntime` drives its
+:class:`~repro.core.runtime.ShardRouter` over pipe links to local worker
+processes; this package's :class:`~repro.fabric.control.FabricRuntime`
+drives the same router over TCP links to remote **agents**
+(:mod:`repro.fabric.agent`).  Each agent is a standalone process serving
+one :class:`~repro.core.runtime.ShardWorkerCore` — the same shard brain the
+pipe workers run — over the reliable TCP control channel, so the two
+deployments cannot drift in semantics.  The TCP link speaks the versioned
+CONTROL frame family of :mod:`repro.twopc.wire` (HELLO registration,
+seq-tagged COMMAND/REPLY, HEARTBEAT health, streamed METRICS snapshots),
+and :meth:`~repro.core.system.PretzelSystem.drain_all_mailboxes_sharded`
+runs unchanged on either runtime.
 
-:mod:`repro.fabric.migrate` moves live shards between agents: checkpoint the
-open decrypt windows on host A, restore them bit-identically on host B,
-redirect the mailbox hash range, retire A — zero resubmissions, no email
-lost or served twice.  ``rebalance`` picks the migration itself, using the
-fabric's aggregated ``emails_served_total`` as the load signal.
+:meth:`FabricRuntime.migrate_agent` moves live shards between agents:
+checkpoint the open decrypt windows on host A, restore them bit-identically
+on host B, redirect the mailbox hash range, retire A — zero resubmissions,
+no email lost or served twice.  :meth:`FabricRuntime.rebalance` picks the
+migration itself, using each agent's ``emails_served_total`` as the load
+signal.
 """
 
 from repro.fabric.agent import AgentProcess, spawn_local_agent
@@ -27,16 +29,13 @@ from repro.fabric.control import (
     pack_control,
     unpack_control,
 )
-from repro.fabric.migrate import migrate, rebalance
 
 __all__ = [
     "AgentProcess",
     "FabricRuntime",
     "launch_fabric",
     "metrics_projection",
-    "migrate",
     "pack_control",
-    "rebalance",
     "spawn_local_agent",
     "unpack_control",
 ]

@@ -1,8 +1,9 @@
-"""The fabric's control plane: versioned frames and the parent-side runtime.
+"""The fabric's control plane: versioned frames and the TCP worker link.
 
-One ``FabricRuntime`` drives N remote agents over TCP the way a
-:class:`~repro.core.runtime.ShardedRuntime` drives N pipe workers — the
-command vocabulary is literally the same (both ends run a
+``FabricRuntime`` is the :class:`~repro.core.runtime.ShardRouter` — the same
+parent-side router :class:`~repro.core.runtime.ShardedRuntime` runs over
+pipes — driving N remote agents over TCP links.  The command vocabulary is
+literally the same (both ends run a
 :class:`~repro.core.runtime.ShardWorkerCore`), only the envelope differs.
 Every message on the wire is a :class:`~repro.twopc.wire.ControlFrame`:
 a verb byte, the :data:`~repro.twopc.wire.CONTROL_VERSION` stamp both ends
@@ -18,28 +19,24 @@ them, which the migration-under-chaos tests exploit): commands survive
 drops, duplication and reordering, and arrive in order exactly once.
 
 Health and telemetry ride the same link.  Agents push HEARTBEAT beacons
-and streamed cumulative METRICS snapshots on configured intervals; the
-parent keeps only the *latest* snapshot per live agent and folds a retired
-or evicted agent's final snapshot into a base exactly once, so
-:meth:`FabricRuntime.aggregated_metrics` can never double-count — the same
-replace-per-shard/fold-once discipline the in-box runtime uses.  An agent
-that stays silent past ``heartbeat_timeout`` (and has no command in
-flight — a shard deep in a decrypt burst is busy, not dead) is evicted.
+and streamed cumulative METRICS snapshots on configured intervals; a link
+keeps only the *latest* snapshot, and the router counts every link it ever
+held exactly once, so :meth:`FabricRuntime.aggregated_metrics` can never
+double-count a retired or evicted agent.  An agent that stays silent past
+``heartbeat_timeout`` (and has no command in flight — a shard deep in a
+decrypt burst is busy, not dead) is evicted.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.core.runtime import shard_of_address
+from repro.core.runtime import ShardRouter, scheduler_spec
 from repro.exceptions import ProtocolError, WireFormatError
-from repro.obs import empty_snapshot, merge_snapshots
 from repro.twopc.reliable import AsyncReliableTransport
 from repro.twopc.transport import AsyncFaultyTransport, AsyncTcpTransport, FaultSpec
 from repro.twopc.wire import CONTROL_VERSION, ControlFrame, ControlVerb, WireCodec
@@ -147,23 +144,24 @@ def metrics_projection(snapshot: Mapping[str, Any]) -> dict:
     }
 
 
-@dataclass
-class _FabricItem:
-    """Parent-side record of one submitted email (resubmission capital)."""
-
-    slot: int
-    kind: str
-    address: str
-    features: Any
-    candidates: Sequence[int] | None = None
-
-
 class _AgentLink:
-    """Parent-side state of one agent connection (loop-thread only)."""
+    """A worker link to one remote agent over its reliable control channel.
 
-    def __init__(self, index: int, transport: AsyncReliableTransport) -> None:
+    ``send`` schedules the command's request/reply exchange on the fabric's
+    loop thread and returns at once; ``receive`` waits for that exchange —
+    so a router fan-out (send to all, then receive from all) serves every
+    agent concurrently.  Apart from ``metrics`` (always swapped whole), the
+    link's state belongs to the loop thread.
+    """
+
+    def __init__(
+        self, index: int, transport: AsyncReliableTransport, loop, timeout: float
+    ) -> None:
         self.index = index
+        self.name = f"agent {index}"
         self.transport = transport
+        self.loop = loop
+        self.timeout = timeout
         self.alive = True
         self.failure: BaseException | None = None
         self.last_seen = time.monotonic()
@@ -175,10 +173,93 @@ class _AgentLink:
         self.lock = asyncio.Lock()  # serializes request/reply on this link
         self.reader: asyncio.Task | None = None
         self.next_seq = 0
+        self._exchange: Any = None  # the future of the exchange send() scheduled
+
+    def send(self, command: str, payload: Any) -> None:
+        self._exchange = asyncio.run_coroutine_threadsafe(
+            self.request(command, payload), self.loop
+        )
+
+    def receive(self) -> tuple[str, Any]:
+        future, self._exchange = self._exchange, None
+        try:
+            return future.result(self.timeout)
+        except TimeoutError:
+            future.cancel()
+            raise ProtocolError(
+                f"fabric control operation timed out after {self.timeout:.0f}s"
+            ) from None
+
+    async def request(self, command: str, payload: Any) -> tuple[str, Any]:
+        """One seq-tagged COMMAND and its REPLY's ``(tag, body)``."""
+        async with self.lock:
+            if not self.alive:
+                raise ProtocolError(
+                    f"agent {self.index} is gone (attach_replacement can recover it): "
+                    f"{self.failure}"
+                )
+            seq = self.next_seq
+            self.next_seq += 1
+            await self.transport.send(
+                "parent",
+                pack_control(
+                    ControlVerb.COMMAND,
+                    {"seq": seq, "command": command, "payload": payload},
+                ),
+            )
+            while True:
+                item = await self.replies.get()
+                if item is None:
+                    raise ProtocolError(
+                        f"agent {self.index} died mid-{command!r} "
+                        f"(attach_replacement can recover it): {self.failure}"
+                    )
+                got_seq, reply = item
+                if got_seq == seq:
+                    return reply
+
+    async def read_frames(self) -> None:
+        """Route every inbound frame of the link (the only receive() caller)."""
+        try:
+            while True:
+                verb, body = unpack_control(await self.transport.receive("parent"))
+                self.last_seen = time.monotonic()
+                if verb == ControlVerb.REPLY:
+                    self.replies.put_nowait(body)
+                elif verb == ControlVerb.METRICS:
+                    # Streamed scrape: cumulative, so replace — never add.
+                    self.metrics = body["metrics"]
+                elif verb == ControlVerb.HEARTBEAT:
+                    pass  # last_seen is the whole message
+                elif verb == ControlVerb.BYE:
+                    raise ProtocolError("agent said BYE")
+        except asyncio.CancelledError:
+            raise
+        except BaseException as error:  # noqa: BLE001 — any reader death ends the link
+            self.fail(error)
+
+    def fail(self, error: BaseException) -> None:
+        """Mark the link dead; its last metrics snapshot stays, counted once."""
+        if not self.alive:
+            return
+        self.alive = False
+        self.failure = error
+        self.replies.put_nowait(None)  # wake any request waiting on this link
+        self.transport.close()
+
+    async def retire(self) -> None:
+        if self.alive:
+            try:
+                await self.transport.send("parent", pack_control(ControlVerb.BYE, {}))
+            except BaseException:  # noqa: BLE001 — retirement is best-effort
+                pass
+        self.fail(ProtocolError(f"agent {self.index} retired"))
+        if self.reader is not None:
+            self.reader.cancel()
 
 
-class FabricRuntime:
-    """Drive remote TCP agents with the ``ShardedRuntime`` steering wheel.
+class FabricRuntime(ShardRouter):
+    """Drive remote TCP agents with the same router the in-box runtime uses.
 
     *endpoints* name the agents: ``(host, port)`` pairs or any object with
     ``host``/``port`` attributes (an
@@ -186,15 +267,16 @@ class FabricRuntime:
     space is split into ``len(endpoints)`` **slots** — the same
     :func:`~repro.core.runtime.shard_of_address` partition the in-box
     runtime uses — and the slot→agent routing table is *mutable*: live
-    migration (:func:`repro.fabric.migrate.migrate`) redirects a slot to a
-    different agent mid-stream with its open windows intact.
+    migration (:meth:`migrate_agent`) redirects a slot to a different agent
+    mid-stream with its open windows intact.
 
     The drive API (``register_spam``/``submit_spam``/``drain``/
-    ``take_result``/…) mirrors :class:`~repro.core.runtime.ShardedRuntime`
-    method for method, so
+    ``take_result``/…) is :class:`~repro.core.runtime.ShardRouter`'s, over
+    TCP links instead of pipes, so
     :meth:`~repro.core.system.PretzelSystem.drain_all_mailboxes_sharded`
-    accepts either via its ``runtime=`` parameter.  Network plumbing lives
-    on a private asyncio loop thread; the public surface is synchronous.
+    accepts either runtime via its ``runtime=`` parameter.  Network plumbing
+    lives on a private asyncio loop thread; the public surface is
+    synchronous.
     """
 
     def __init__(
@@ -214,47 +296,28 @@ class FabricRuntime:
     ) -> None:
         if not endpoints:
             raise ProtocolError("a fabric runtime needs at least one agent")
-        if adaptive:
-            self._scheduler_spec: tuple = ("adaptive", dict(adaptive_options or {}))
-        else:
-            self._scheduler_spec = (
-                "static",
-                window_bursts,
-                max_pending_ciphertexts,
-                max_delay_seconds,
-            )
-        # One incarnation shared by every agent of this fabric: a checkpoint
-        # taken on host A is admissible on host B (migration), while blobs
-        # from an earlier parent are still refused (job-id collision safety).
-        self._incarnation = os.urandom(8).hex()
+        # The router's incarnation is shared by every agent of this fabric: a
+        # checkpoint taken on host A is admissible on host B (migration),
+        # while blobs from an earlier parent are still refused.
+        super().__init__(len(endpoints))
+        self._scheduler_spec = scheduler_spec(
+            window_bursts, max_pending_ciphertexts, max_delay_seconds, adaptive, adaptive_options
+        )
         self.num_slots = len(endpoints)
-        self._slot_owner = list(range(self.num_slots))
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
         self._metrics_interval = metrics_interval
         self._request_timeout = request_timeout
         self._connect_timeout = connect_timeout
         self._fault_spec = fault_spec
-        self._registrations: list[tuple[int, str, tuple]] = []  # (slot, cmd, payload)
-        self._registered: set[tuple[str, str]] = set()
-        self._outstanding: dict[int, _FabricItem] = {}
-        self._results: dict[int, Any] = {}
-        self._next_job_id = 0
-        self._links: list[_AgentLink | None] = []
-        self._metrics_base: dict[int, dict] = {}
-        self._closed = False
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="fabric-control", daemon=True
         )
         self._thread.start()
-        self._keepalive_task: asyncio.Future | None = None
         try:
             for endpoint in endpoints:
-                host, port = self._endpoint_address(endpoint)
-                self._links.append(
-                    self._run(self._aconnect(len(self._links), host, port))
-                )
+                self._install(self._connect(len(self._links), endpoint))
             self._keepalive_task = asyncio.run_coroutine_threadsafe(
                 self._keepalive(), self._loop
             )
@@ -263,13 +326,6 @@ class FabricRuntime:
             raise
 
     # -- loop plumbing -------------------------------------------------------
-    @staticmethod
-    def _endpoint_address(endpoint: Any) -> tuple[str, int]:
-        if hasattr(endpoint, "host") and hasattr(endpoint, "port"):
-            return endpoint.host, endpoint.port
-        host, port = endpoint
-        return host, port
-
     def _run(self, coro, timeout: float | None = None):
         future = asyncio.run_coroutine_threadsafe(coro, self._loop)
         try:
@@ -300,6 +356,13 @@ class FabricRuntime:
             self._loop.close()
 
     # -- link lifecycle ------------------------------------------------------
+    def _connect(self, index: int, endpoint: Any) -> _AgentLink:
+        if hasattr(endpoint, "host") and hasattr(endpoint, "port"):
+            host, port = endpoint.host, endpoint.port
+        else:
+            host, port = endpoint
+        return self._run(self._aconnect(index, host, port))
+
     async def _aconnect(self, index: int, host: str, port: int) -> _AgentLink:
         tcp = await asyncio.wait_for(
             AsyncTcpTransport.connect(
@@ -318,7 +381,7 @@ class FabricRuntime:
         transport = AsyncReliableTransport(
             inner, name=f"fabric-link[{index}]", max_attempts=CONTROL_MAX_ATTEMPTS
         )
-        link = _AgentLink(index, transport)
+        link = _AgentLink(index, transport, self._loop, self._request_timeout)
         await transport.send(
             "parent",
             pack_control(
@@ -355,43 +418,8 @@ class FabricRuntime:
         link.shard_index = body.get("shard_index")
         link.has_checkpoint = bool(body.get("has_checkpoint"))
         link.last_seen = time.monotonic()
-        link.reader = asyncio.get_running_loop().create_task(self._reader(link))
+        link.reader = asyncio.get_running_loop().create_task(link.read_frames())
         return link
-
-    async def _reader(self, link: _AgentLink) -> None:
-        """Route every inbound frame of one link (the only receive() caller)."""
-        try:
-            while True:
-                verb, body = unpack_control(await link.transport.receive("parent"))
-                link.last_seen = time.monotonic()
-                if verb == ControlVerb.REPLY:
-                    link.replies.put_nowait(body)
-                elif verb == ControlVerb.METRICS:
-                    # Streamed scrape: cumulative, so replace — never add.
-                    link.metrics = body["metrics"]
-                elif verb == ControlVerb.HEARTBEAT:
-                    pass  # last_seen is the whole message
-                elif verb == ControlVerb.BYE:
-                    raise ProtocolError("agent said BYE")
-        except asyncio.CancelledError:
-            raise
-        except BaseException as error:  # noqa: BLE001 — any reader death ends the link
-            self._fail_link(link, error)
-
-    def _fail_link(self, link: _AgentLink, error: BaseException) -> None:
-        """Mark one link dead and fold its final metrics exactly once."""
-        if not link.alive:
-            return
-        link.alive = False
-        link.failure = error
-        if link.metrics is not None:
-            base = self._metrics_base.get(link.index)
-            self._metrics_base[link.index] = (
-                merge_snapshots(base, link.metrics) if base is not None else link.metrics
-            )
-            link.metrics = None
-        link.replies.put_nowait(None)  # wake any request waiting on this link
-        link.transport.close()
 
     async def _keepalive(self) -> None:
         """Parent-side heartbeats out, liveness policy in.
@@ -407,129 +435,31 @@ class FabricRuntime:
             await asyncio.sleep(self._heartbeat_interval)
             now = time.monotonic()
             for link in self._links:
-                if link is None or not link.alive or link.lock.locked():
+                if not link.alive or link.lock.locked():
                     continue
                 if now - link.last_seen > self._heartbeat_timeout:
-                    self._fail_link(
-                        link,
+                    link.fail(
                         ProtocolError(
                             f"agent {link.index} unheard from for "
                             f"{now - link.last_seen:.1f}s (> {self._heartbeat_timeout}s)"
-                        ),
+                        )
                     )
                     continue
                 try:
                     await link.transport.send("parent", beacon)
                 except BaseException as error:  # noqa: BLE001
-                    self._fail_link(link, error)
-
-    # -- command plumbing ----------------------------------------------------
-    def _link(self, index: int) -> _AgentLink:
-        if not 0 <= index < len(self._links) or self._links[index] is None:
-            raise ProtocolError(f"no agent {index} in this fabric")
-        return self._links[index]  # type: ignore[return-value]
-
-    async def _arequest(self, index: int, command: str, payload: Any) -> Any:
-        link = self._link(index)
-        async with link.lock:
-            if not link.alive:
-                raise ProtocolError(
-                    f"agent {index} is gone (attach_replacement can recover it): "
-                    f"{link.failure}"
-                )
-            seq = link.next_seq
-            link.next_seq += 1
-            await link.transport.send(
-                "parent",
-                pack_control(
-                    ControlVerb.COMMAND,
-                    {"seq": seq, "command": command, "payload": payload},
-                ),
-            )
-            while True:
-                item = await link.replies.get()
-                if item is None:
-                    raise ProtocolError(
-                        f"agent {index} died mid-{command!r} "
-                        f"(attach_replacement can recover it): {link.failure}"
-                    )
-                got_seq, (tag, body) = item
-                if got_seq == seq:
-                    break
-        return self._absorb(link, command, tag, body)
-
-    def _absorb(self, link: _AgentLink, command: str, tag: str, body: Any) -> Any:
-        """Mirror of ``ShardedRuntime._collect``: land results, track metrics."""
-        if tag == "error":
-            raise ProtocolError(f"agent {link.index} rejected {command!r}: {body}")
-        if tag == "results":
-            results, metrics = body
-            self._land(results)
-            link.metrics = metrics
-        elif tag == "restored":
-            _resumed_ids, results, metrics = body
-            self._land(results)
-            link.metrics = metrics
-        elif tag == "checkpointed":
-            _blob, results, metrics = body
-            self._land(results)
-            link.metrics = metrics
-        elif tag == "stats" and isinstance(body, dict) and "metrics" in body:
-            link.metrics = body["metrics"]
-        return body
-
-    def _land(self, results: Sequence[tuple[int, Any]]) -> None:
-        for job_id, result in results:
-            self._results[job_id] = result
-            self._outstanding.pop(job_id, None)
-
-    def _request(self, index: int, command: str, payload: Any) -> Any:
-        if self._closed:
-            raise ProtocolError("the fabric runtime is closed")
-        return self._run(self._arequest(index, command, payload))
-
-    async def _afanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
-        results = await asyncio.gather(
-            *(self._arequest(index, command, payload) for index, command, payload in work),
-            return_exceptions=True,
-        )
-        for outcome in results:
-            if isinstance(outcome, BaseException):
-                raise outcome
-        return results
-
-    def _fanout(self, work: Sequence[tuple[int, str, Any]]) -> list[Any]:
-        if self._closed:
-            raise ProtocolError("the fabric runtime is closed")
-        if not work:
-            return []
-        return self._run(self._afanout(work))
-
-    def _live_indexes(self) -> list[int]:
-        return [
-            index
-            for index, link in enumerate(self._links)
-            if link is not None and link.alive
-        ]
-
-    def _serving_indexes(self) -> list[int]:
-        """Live agents that currently own at least one slot."""
-        owners = set(self._slot_owner)
-        return [index for index in self._live_indexes() if index in owners]
+                    link.fail(error)
 
     # -- agent membership ----------------------------------------------------
     def attach_agent(self, endpoint: Any) -> int:
         """Connect one more agent (owning no slots yet); returns its index.
 
         The standard migration target: spawn a fresh agent, attach it, then
-        :func:`repro.fabric.migrate.migrate` a hash range onto it.
+        :meth:`migrate_agent` a hash range onto it.
         """
         if self._closed:
             raise ProtocolError("the fabric runtime is closed")
-        host, port = self._endpoint_address(endpoint)
-        index = len(self._links)
-        self._links.append(self._run(self._aconnect(index, host, port)))
-        return index
+        return self._install(self._connect(len(self._links), endpoint))
 
     def attach_replacement(self, index: int, endpoint: Any) -> int:
         """Rebuild a dead agent position from a fresh process; resubmit gaps.
@@ -544,67 +474,32 @@ class FabricRuntime:
         """
         old = self._link(index)
         if old.alive:
-            self._fail_link(old, ProtocolError("replaced by attach_replacement"))
-        host, port = self._endpoint_address(endpoint)
-        fresh = self._run(self._aconnect(index, host, port))
+            # On the loop thread, ahead of the connect below (FIFO).
+            self._loop.call_soon_threadsafe(
+                old.fail, ProtocolError("replaced by attach_replacement")
+            )
+        fresh = self._connect(index, endpoint)
         if fresh.shard_index != old.shard_index:
-            self._run(self._aretire(fresh))
+            self._run(fresh.retire())
             raise ProtocolError(
                 f"replacement for agent {index} serves shard {fresh.shard_index}, "
                 f"expected {old.shard_index} (checkpoints would not line up)"
             )
-        self._links[index] = fresh
-        slots = {slot for slot, owner in enumerate(self._slot_owner) if owner == index}
-        resuming = fresh.has_checkpoint
-        for slot, command, payload in self._registrations:
-            if slot in slots:
-                self._request(
-                    index, command, (*payload, True) if resuming else payload
-                )
-        resumed: set[int] = set()
-        if resuming:
-            resumed_ids, _results, _metrics = self._request(index, "restore", None)
-            resumed = set(resumed_ids)
-            self._request(index, "ensure_pools", None)
-        resubmit = [
-            (job_id, item)
-            for job_id, item in sorted(self._outstanding.items())
-            if item.slot in slots and job_id not in resumed
-        ]
-        if resubmit:
-            self._request(
-                index,
-                "burst",
-                [
-                    (job_id, item.kind, item.address, item.features, item.candidates)
-                    for job_id, item in resubmit
-                ],
-            )
-        return len(resubmit)
-
-    async def _aretire(self, link: _AgentLink) -> None:
-        if link.alive:
-            try:
-                await link.transport.send("parent", pack_control(ControlVerb.BYE, {}))
-            except BaseException:  # noqa: BLE001 — retirement is best-effort
-                pass
-        self._fail_link(link, ProtocolError(f"agent {link.index} retired"))
-        if link.reader is not None:
-            link.reader.cancel()
+        self._install(fresh, index)
+        return self._recover(index, self._slots_of(index), fresh.has_checkpoint)
 
     def retire_agent(self, index: int) -> None:
-        """Say BYE to one agent and fold its final metrics into the base.
+        """Say BYE to one agent; its final metrics stay counted once.
 
         The agent must not own any slots (migrate them away first) — retiring
         a serving agent would orphan its mailboxes.
         """
-        if index in set(self._slot_owner):
+        if self._slots_of(index):
             raise ProtocolError(
-                f"agent {index} still owns slots "
-                f"{[s for s, o in enumerate(self._slot_owner) if o == index]}; "
+                f"agent {index} still owns slots {sorted(self._slots_of(index))}; "
                 "migrate them away before retiring it"
             )
-        self._run(self._aretire(self._link(index)))
+        self._run(self._link(index).retire())
 
     def agent_alive(self, index: int) -> bool:
         return self._link(index).alive
@@ -620,110 +515,81 @@ class FabricRuntime:
         """Routing table copy: ``slot -> agent index``, one entry per slot."""
         return list(self._slot_owner)
 
-    # -- registration (ShardedRuntime drive API) -----------------------------
-    def shard_of(self, address: str) -> int:
-        return shard_of_address(address, self.num_slots)
+    # -- migration -----------------------------------------------------------
+    def migrate_agent(self, source: int, target: int) -> int:
+        """Move every slot *source* owns onto *target*, live; retire *source*.
 
-    def _agent_of_slot(self, slot: int) -> int:
-        return self._slot_owner[slot]
+        ::
 
-    def register_spam(self, address: str, protocol: Any, setup: Any) -> None:
-        slot = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(self._agent_of_slot(slot), "register_spam", payload)
-        self._registrations.append((slot, "register_spam", payload))
-        self._registered.add(("spam", address))
+            source agent                parent                       target agent
+            ────────────                ──────                       ────────────
+            serving ──checkpoint──▶ quiesced          │
+                 (blob: open windows +  │  replay registrations ──▶  pools deferred
+                  parked sessions,      │  restore(blob) ─────────▶  windows resumed
+                  final metrics,        │  ensure_pools ──────────▶  pools backfilled
+                  stray results)        │  redirect slots source→target
+                                        │  resubmit anything the blob missed
+                          ◀────BYE──────┤  source metrics stay counted once
+               exits
 
-    def register_topics(self, address: str, protocol: Any, setup: Any) -> None:
-        slot = self.shard_of(address)
-        payload = (address, protocol, setup)
-        self._request(self._agent_of_slot(slot), "register_topics", payload)
-        self._registrations.append((slot, "register_topics", payload))
-        self._registered.add(("topics", address))
+        The ``checkpoint`` command quiesces the source *before* serializing,
+        so the blob and the final metrics snapshot are a consistent cut: no
+        idle tick can fire a window the target is about to resume, which is
+        what makes the "every email served exactly once" accounting hold.
+        The blob is admissible on the target because every agent of one
+        fabric shares the parent's incarnation.  Resumed sessions restart
+        bit-identically mid-protocol (same OT pads, same window cursors).
 
-    def has_spam(self, address: str) -> bool:
-        return ("spam", address) in self._registered
-
-    def has_topics(self, address: str) -> bool:
-        return ("topics", address) in self._registered
-
-    # -- submission / results ------------------------------------------------
-    def _submit(self, items: list[_FabricItem]) -> list[int]:
-        job_ids = []
-        by_agent: dict[int, list[tuple]] = {}
-        for item in items:
-            job_id = self._next_job_id
-            self._next_job_id += 1
-            job_ids.append(job_id)
-            self._outstanding[job_id] = item
-            by_agent.setdefault(self._agent_of_slot(item.slot), []).append(
-                (job_id, item.kind, item.address, item.features, item.candidates)
-            )
-        self._fanout(
-            [(agent, "burst", batch) for agent, batch in by_agent.items()]
-        )
-        return job_ids
-
-    def submit_spam(self, emails: Sequence[tuple[str, Any]]) -> list[int]:
-        """Submit one burst of (address, features) emails; returns their job ids."""
-        return self._submit(
-            [
-                _FabricItem(
-                    slot=self.shard_of(address),
-                    kind="spam",
-                    address=address,
-                    features=features,
-                )
-                for address, features in emails
-            ]
-        )
-
-    def submit_topics(
-        self, emails: Sequence[tuple[str, Any, Sequence[int] | None]]
-    ) -> list[int]:
-        """Submit one burst of (address, features, candidates) topic emails."""
-        return self._submit(
-            [
-                _FabricItem(
-                    slot=self.shard_of(address),
-                    kind="topics",
-                    address=address,
-                    features=features,
-                    candidates=candidates,
-                )
-                for address, features, candidates in emails
-            ]
-        )
-
-    def poll(self) -> int:
-        """Tick every serving agent's age triggers; returns new results landed."""
-        before = len(self._results)
-        self._fanout([(index, "poll", None) for index in self._serving_indexes()])
-        return len(self._results) - before
-
-    def drain(self) -> None:
-        """Close every serving agent's open windows; all outstanding results land."""
-        self._fanout([(index, "drain", None) for index in self._serving_indexes()])
-
-    def take_result(self, job_id: int) -> Any:
-        """Pop the protocol result for *job_id* (drain first if still open)."""
-        if job_id not in self._results:
+        Returns the number of emails that had to be *resubmitted* on the
+        target (not covered by the checkpoint); ``0`` means the whole
+        in-flight window state moved.
+        """
+        if source == target:
+            raise ProtocolError("cannot migrate an agent onto itself")
+        source_link = self._link(source)
+        if not source_link.alive:
             raise ProtocolError(
-                f"no result for job {job_id} yet "
-                f"({len(self._outstanding)} emails still inside open windows)"
+                f"agent {source} is dead — use attach_replacement, not migrate"
             )
-        return self._results.pop(job_id)
+        if not self._link(target).alive:
+            raise ProtocolError(f"migration target agent {target} is dead")
+        slots = self._slots_of(source)
+        if not slots:
+            raise ProtocolError(f"agent {source} owns no slots; nothing to migrate")
+        # Stray finished results and the final cumulative metrics snapshot
+        # ride the checkpoint reply, so nothing is stranded on the source.
+        blob, _results, _metrics = self._request(source, "checkpoint", None)
+        resubmitted = self._recover(target, slots, blob is not None, blob)
+        self._run(source_link.retire())
+        return resubmitted
 
-    def outstanding_count(self) -> int:
-        return len(self._outstanding)
+    def rebalance(self) -> tuple[int, int, int] | None:
+        """Migrate the hottest agent's hash range onto the least-loaded spare.
 
-    def run_spam_stream(self, bursts: Sequence[Sequence[tuple[str, Any]]]) -> list[Any]:
-        """Feed bursts through the fabric, drain, return results in order."""
-        job_ids: list[int] = []
-        for burst in bursts:
-            job_ids.extend(self.submit_spam(burst))
-        self.drain()
-        return [self.take_result(job_id) for job_id in job_ids]
+        Load is ``emails_served_total`` from each agent's latest streamed
+        cumulative snapshot — the aggregation the control plane already
+        keeps, no extra round trip.  Candidates to receive the range are live
+        agents owning *no* slots (freshly attached spares); with no spare, or
+        with no load contrast at all, this is a no-op returning ``None``.
+        Otherwise returns ``(source, target, resubmitted)``.
+        """
+        serving = self._serving_indexes()
+        spares = [index for index in self._live_indexes() if index not in serving]
+        if not spares or not serving:
+            return None
+        loads: list[tuple[float, int]] = []
+        for index in serving:
+            snapshot = self._link(index).metrics or {}
+            served = sum(
+                entry["value"]
+                for entry in snapshot.get("counters", [])
+                if entry["name"] == "emails_served_total"
+            )
+            loads.append((served, index))
+        served, hottest = max(loads)
+        if served <= 0:
+            return None  # nobody has served anything; nothing is "hot" yet
+        return hottest, spares[0], self.migrate_agent(hottest, spares[0])
 
     # -- telemetry -----------------------------------------------------------
     def agent_stats(self) -> list[dict[str, Any]]:
@@ -735,57 +601,20 @@ class FabricRuntime:
             for index, reply in zip(indexes, replies)
         ]
 
-    def aggregated_metrics(self) -> dict:
-        """One merged snapshot covering every agent, past and present.
-
-        Sum of each position's dead-incarnation base and the live agents'
-        latest streamed/piggybacked snapshots — replace-per-agent, fold-once,
-        exactly the :meth:`ShardedRuntime.aggregated_metrics` discipline, so
-        migrations, evictions and replacements can never double-count.
-        """
-        return self._run(self._ametrics())
-
-    async def _ametrics(self) -> dict:
-        snaps = list(self._metrics_base.values()) + [
-            link.metrics
-            for link in self._links
-            if link is not None and link.alive and link.metrics is not None
-        ]
-        return merge_snapshots(*snaps) if snaps else empty_snapshot()
-
-    # -- migration (delegates to repro.fabric.migrate) -----------------------
-    def migrate_agent(self, source: int, target: int) -> int:
-        """Live-migrate every slot *source* owns onto *target*; see ``migrate``."""
-        from repro.fabric.migrate import migrate
-
-        return migrate(self, source, target)
-
-    def rebalance(self) -> tuple[int, int, int] | None:
-        """Move the hottest agent's range to a spare agent; see ``rebalance``."""
-        from repro.fabric.migrate import rebalance
-
-        return rebalance(self)
-
     # -- shutdown ------------------------------------------------------------
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for index in self._live_indexes():
-            try:
-                self._run(self._arequest(index, "stop", None), timeout=10.0)
-            except ProtocolError:
-                pass
         for link in self._links:
-            if link is not None:
+            if link.alive:
                 try:
-                    self._run(self._aretire(link), timeout=5.0)
+                    self._run(link.request("stop", None), timeout=10.0)
                 except ProtocolError:
                     pass
+        for link in self._links:
+            try:
+                self._run(link.retire(), timeout=5.0)
+            except ProtocolError:
+                pass
         self._shutdown_loop()
-
-    def __enter__(self) -> "FabricRuntime":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -12,6 +12,7 @@ or between hosts mid-stream — changes nothing observable*.  These tests pin:
 * live migration of open decrypt windows between agents — quiet links and
   under a 1% chaos cocktail on the control channel — with no email lost,
   duplicated, or re-executed;
+* reconnect-resume of a disconnected client through an agent;
 * heartbeat-timeout eviction of a hung (SIGSTOPped) agent; and
 * :meth:`PretzelSystem.drain_all_mailboxes_sharded` running unchanged with
   a fabric runtime as its ``runtime=``.
@@ -262,6 +263,26 @@ class TestFabricRecovery:
             assert verdicts == spam_truth
             assert runtime.outstanding_count() == 0
             assert _served_total(runtime.aggregated_metrics()) == len(SPAM_EMAILS)
+        finally:
+            runtime.close()
+            _reap(agents)
+
+    def test_disconnect_reconnect_resumes_over_the_fabric(self, spam_setup):
+        """A client drops mid-protocol and comes back with its snapshot bytes:
+        the email resumes on its agent with the sequential run's verdict."""
+        protocol, setup = spam_setup
+        clean = protocol.classify_email(setup, SPAM_EMAILS[0])
+        addresses = _slot_addresses(2, per_slot=1)
+        runtime, agents = launch_fabric(2, window_bursts=100)
+        try:
+            _register_all(runtime, addresses, spam_setup)
+            (job_id,) = runtime.submit_spam([(addresses[1], SPAM_EMAILS[0])])
+            blob = runtime.disconnect_client(job_id)
+            assert isinstance(blob, bytes) and blob
+            runtime.reconnect_client(job_id, blob)
+            runtime.drain()
+            assert runtime.take_result(job_id).is_spam == clean.is_spam
+            assert runtime.outstanding_count() == 0
         finally:
             runtime.close()
             _reap(agents)

@@ -18,6 +18,7 @@ from repro.core.runtime import (
     topic_job,
 )
 from repro.crypto.ot import ObliviousTransfer, initialize_ot_pool, make_ot_receiver, make_ot_sender
+from repro.obs import scoped_telemetry
 from repro.twopc.noprv import NoPrivClassifier, run_noprv_session
 from repro.twopc.session import run_session_pair
 from repro.twopc.spam import SpamFilterProtocol
@@ -140,6 +141,22 @@ class TestMultiUserBatching:
         assert jobs[0].client.is_spam == small_spam_model.predict_is_spam(SPAM_EMAILS[0])
         assert jobs[1].client.is_spam == small_spam_model.predict_is_spam(SPAM_EMAILS[1])
         assert jobs[2].provider.extracted_topic == small_topic_model.predict(TOPIC_EMAILS[0])
+
+    def test_run_counts_every_email_served(self, spam_setup):
+        # run() (behind run_spam_batch and cold mailboxes) must count served
+        # emails exactly as the windowed serve_burst + drain path does.
+        protocol, setup = spam_setup
+        with scoped_telemetry():
+            runtime = ProviderRuntime()
+            run_spam_batch(protocol, setup, SPAM_EMAILS[:3], runtime=runtime)
+            assert runtime.stats()["emails_served"] == 3
+        with scoped_telemetry():
+            windowed = ProviderRuntime()
+            windowed.serve_burst(
+                [spam_job(protocol, setup, features) for features in SPAM_EMAILS[:3]]
+            )
+            windowed.drain()
+            assert windowed.stats()["emails_served"] == 3
 
 
 class TestOtPooling:

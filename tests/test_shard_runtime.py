@@ -588,9 +588,45 @@ class TestShardedRuntime:
             assert results[0].is_spam == spam_truth[0]
 
     def test_unregistered_mailbox_error_surfaces_in_parent(self, spam_setup):
+        protocol, setup = spam_setup
         with ShardedRuntime(num_shards=1) as runtime:
             with pytest.raises(ProtocolError, match="rejected|no spam mailbox"):
                 runtime.submit_spam([("ghost@example.com", SPAM_EMAILS[0])])
+            # A ghost next to a registered mailbox: the whole burst is refused
+            # before any slice is sent, so no job stays counted.
+            runtime.register_spam("host@example.com", protocol, setup)
+            with pytest.raises(ProtocolError, match="rejected|no spam mailbox"):
+                runtime.submit_spam(
+                    [
+                        ("ghost@example.com", SPAM_EMAILS[0]),
+                        ("host@example.com", SPAM_EMAILS[1]),
+                    ]
+                )
+            assert runtime.outstanding_count() == 0
+            runtime.drain()
+            assert runtime.outstanding_count() == 0
+
+    def test_rejected_slice_leaves_no_stale_reply(self, spam_setup):
+        # Shard 0 rejects its slice of a burst (a malformed email).  Shard 1's
+        # reply must still be received, or the next request to shard 1 would
+        # read the burst's reply instead of its own.
+        protocol, setup = spam_setup
+        first, second = (
+            next(
+                address
+                for address in (f"user{index}@example.com" for index in range(1000))
+                if shard_of_address(address, 2) == shard
+            )
+            for shard in (0, 1)
+        )
+        with ShardedRuntime(num_shards=2) as runtime:
+            for address in (first, second):
+                runtime.register_spam(address, protocol, setup)
+            with pytest.raises(ProtocolError, match="shard 0 rejected"):
+                runtime.submit_spam([(first, None), (second, SPAM_EMAILS[0])])
+            stats = runtime.shard_stats()
+            assert all(isinstance(stat, dict) for stat in stats)
+            assert stats[1]["mailboxes"] == 1
 
     def test_take_result_before_drain_raises(self, spam_setup):
         protocol, setup = spam_setup
