@@ -289,10 +289,14 @@ class AgentProcess:
         self.process.terminate()
 
     def wait(self, timeout: float | None = 10.0) -> int | None:
+        """Reap the process (None if it outlives *timeout*), then close its pipe."""
         try:
-            return self.process.wait(timeout=timeout)
+            returncode = self.process.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
             return None
+        if self.process.stdout is not None:
+            self.process.stdout.close()
+        return returncode
 
 
 def spawn_local_agent(
@@ -329,6 +333,7 @@ def spawn_local_agent(
     if not line.startswith("PORT "):
         process.kill()
         process.wait(timeout=10.0)
+        process.stdout.close()
         raise ProtocolError(
             f"fabric agent {shard_index} exited before announcing its port "
             f"(returncode {process.returncode})"

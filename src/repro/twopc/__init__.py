@@ -8,12 +8,13 @@ provider halves multiplex across many concurrent email sessions.
 
 * :mod:`repro.twopc.wire` — typed, versioned protocol frames with real
   ``to_bytes``/``from_bytes`` codecs for everything that crosses parties.
-* :mod:`repro.twopc.transport` — :class:`Transport` (loopback and socket
-  implementations) plus :class:`FramedChannel`, the typed-frame channel with
-  per-party byte/message/round ledgers (the evaluation's "network transfers"
-  columns).
+* :mod:`repro.twopc.transport` — :class:`Transport` (loopback, socket and
+  asyncio TCP implementations) plus :class:`FramedChannel`, the typed-frame
+  channel with per-party byte/message/round ledgers (the evaluation's
+  "network transfers" columns); sync and async callers share each layer's
+  logic and differ only in their calling convention.
 * :mod:`repro.twopc.session` — the :class:`ProtocolSession` state-machine
-  contract and the in-process session-pair driver.
+  contract, the in-process session loop and its asyncio counterpart.
 * :mod:`repro.twopc.spam` — spam-filtering protocol: dot products + blinding +
   a Yao threshold comparison; client learns the 1-bit verdict (§3.3, §4.1–4.2).
 * :mod:`repro.twopc.topics` — decomposed topic extraction: the client prunes
@@ -23,8 +24,9 @@ provider halves multiplex across many concurrent email sessions.
   plaintext directly (the status quo the paper compares against).
 * :mod:`repro.twopc.reliable` — the ack/retransmit layer: exactly-once
   in-order frames over lossy transports (sequence numbers, CRC32, cumulative
-  acks), plus :class:`FaultyTransport` in :mod:`repro.twopc.transport`, the
-  seeded fault injector the chaos suite drives it with.
+  acks), plus :class:`FaultyTransport` and :class:`AsyncFaultyTransport` in
+  :mod:`repro.twopc.transport`, the seeded fault wrappers the chaos suite
+  drives it with.
 """
 
 # The protocol modules import crypto modules that in turn build on the wire /

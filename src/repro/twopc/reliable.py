@@ -24,7 +24,10 @@ path recovers it.  Retransmission is timeout-driven with exponential backoff
 on the poll deadline; a channel that makes no progress for
 ``max_attempts`` polls raises :class:`~repro.exceptions.ReliabilityError`.
 
-Two arrangements are provided, mirroring the transport layer:
+The logic lives once, in the sans-IO :class:`_ReliabilityCore` (stamp a
+payload and keep it until acked; absorb an inbound frame — decode, CRC drop,
+ack, dedup, the retransmit decision; list the unacked frames).  Two thin
+drivers run its receive loop over the two transport arrangements:
 
 * :class:`ReliableChannel` — the shared-object (in-process) arrangement: one
   instance owns both ends, wrapping any synchronous
@@ -60,6 +63,7 @@ from repro.twopc.transport import (
     FramedChannel,
     LoopbackTransport,
     Transport,
+    _LayerDelegate,
 )
 from repro.twopc.wire import WireCodec
 
@@ -119,9 +123,24 @@ class _EndpointState:
         self.ready: deque[bytes] = deque()  # in-order payloads awaiting delivery
         self.out_of_order: dict[int, bytes] = {}  # buffered past-the-gap frames
 
+    def buffered(self) -> int:
+        """Payloads received but not yet delivered."""
+        return len(self.ready) + len(self.out_of_order)
+
+
+def _poll_deadline(base_timeout: float, timeouts: int, timeout_seconds: float | None) -> float:
+    """The next receive poll: exponential backoff, capped by the caller's deadline."""
+    poll = base_timeout * (2 ** min(timeouts, 6))
+    return poll if timeout_seconds is None else min(poll, timeout_seconds)
+
 
 class _ReliabilityCore:
-    """Frame bookkeeping shared by the sync channel and the async endpoint."""
+    """The sans-IO reliability logic both arrangements drive.
+
+    It numbers outbound payloads, absorbs inbound wire frames and lists what
+    a retransmit must resend, but moves no bytes itself: the sync channel and
+    the async endpoint keep only their poll/backoff and their IO.
+    """
 
     def __init__(self) -> None:
         self.stats = {
@@ -140,29 +159,59 @@ class _ReliabilityCore:
         self.stats[key] += 1
         self._metrics[key].inc()
 
-    def on_data(self, state: _EndpointState, sequence: int, payload: bytes) -> tuple[int, bool]:
-        """Apply one inbound DATA frame; returns (cumulative ack, was duplicate)."""
-        duplicate = False
-        if sequence < state.expected:
+    @staticmethod
+    def stamp(state: _EndpointState, payload: bytes) -> bytes:
+        """Number *payload* and keep it until acked; returns its DATA frame."""
+        sequence = state.next_sequence
+        state.next_sequence += 1
+        state.unacked[sequence] = payload
+        return encode_reliable(TYPE_DATA, sequence, payload)
+
+    def absorb(self, state: _EndpointState, raw: bytes) -> tuple[bytes | None, bool]:
+        """Apply one inbound wire frame; returns (ACK frame to send, retransmit?).
+
+        A corrupt frame is dropped and an ACK frees acknowledged frames; both
+        return no ACK.  A DATA frame is delivered in order (or buffered past a
+        gap, or dropped as a duplicate) and answered with the cumulative ACK.
+        A duplicate that delivered nothing means the peer is resending
+        history — our ack, or our own last frame, probably got lost — so the
+        caller should push its unacked window too.
+        """
+        try:
+            frame_type, sequence, payload = decode_reliable(raw)
+        except WireFormatError:
+            self.bump("corrupt_dropped")
+            return None, False
+        if frame_type == TYPE_ACK:
+            self.on_ack(state, sequence)
+            return None, False
+        duplicate = sequence < state.expected or sequence in state.out_of_order
+        if duplicate:
             self.bump("duplicates_dropped")
-            duplicate = True
         elif sequence == state.expected:
             state.ready.append(payload)
             state.expected += 1
             while state.expected in state.out_of_order:
                 state.ready.append(state.out_of_order.pop(state.expected))
                 state.expected += 1
-        elif sequence in state.out_of_order:
-            self.bump("duplicates_dropped")
-            duplicate = True
         else:
             state.out_of_order[sequence] = payload
-        return state.expected - 1, duplicate
+        ack = encode_reliable(TYPE_ACK, state.expected - 1)
+        return ack, duplicate and not state.ready
 
-    def on_ack(self, state: _EndpointState, cumulative: int) -> None:
+    @staticmethod
+    def on_ack(state: _EndpointState, cumulative: int) -> None:
         """Drop every frame the peer has cumulatively acknowledged."""
         for sequence in [seq for seq in state.unacked if seq <= cumulative]:
             del state.unacked[sequence]
+
+    @staticmethod
+    def unacked_frames(state: _EndpointState) -> list[bytes]:
+        """The DATA frames a retransmit resends, in sequence order."""
+        return [
+            encode_reliable(TYPE_DATA, sequence, state.unacked[sequence])
+            for sequence in sorted(state.unacked)
+        ]
 
 
 class ReliableChannel(Transport):
@@ -176,6 +225,8 @@ class ReliableChannel(Transport):
     shows the wire-level traffic including reliability overhead, retransmits
     and acks.
     """
+
+    _metered = False
 
     def __init__(
         self,
@@ -201,12 +252,9 @@ class ReliableChannel(Transport):
     def send(self, sender: str, data: bytes) -> int:
         self._check_party(sender)
         data = bytes(data)
-        state = self._states[sender]
-        sequence = state.next_sequence
-        state.next_sequence += 1
-        state.unacked[sequence] = data
+        frame = self._core.stamp(self._states[sender], data)
         self._account(sender, len(data))
-        self.inner.send(sender, encode_reliable(TYPE_DATA, sequence, data))
+        self.inner.send(sender, frame)
         return len(data)
 
     # -- receiving ----------------------------------------------------------
@@ -219,9 +267,7 @@ class ReliableChannel(Transport):
         for _ in range(self.max_attempts * 64):  # hard stop against livelock
             if state.ready:
                 return state.ready.popleft()
-            poll = self.base_timeout * (2 ** min(timeouts, 6))
-            if timeout_seconds is not None:
-                poll = min(poll, timeout_seconds)
+            poll = _poll_deadline(self.base_timeout, timeouts, timeout_seconds)
             try:
                 raw = self.inner.receive(receiver, poll)
             except TransportTimeoutError:
@@ -246,34 +292,22 @@ class ReliableChannel(Transport):
                 # timeout doubles as the peer's retransmit timer firing.
                 self._retransmit(peer, peer_state)
                 continue
-            try:
-                frame_type, sequence, payload = decode_reliable(raw)
-            except WireFormatError:
-                self._core.bump("corrupt_dropped")
-                continue
-            if frame_type == TYPE_ACK:
-                self._core.on_ack(state, sequence)
-                continue
-            cumulative, duplicate = self._core.on_data(state, sequence, payload)
-            self.inner.send(receiver, encode_reliable(TYPE_ACK, cumulative))
-            self._core.bump("acks_sent")
-            if duplicate and not state.ready:
-                # The peer is resending history, so our ack (or our own last
-                # frame) probably got lost — push our unacked window too.
+            ack, retransmit = self._core.absorb(state, raw)
+            if ack is not None:
+                self.inner.send(receiver, ack)
+                self._core.bump("acks_sent")
+            if retransmit:
                 self._retransmit(receiver, state)
         raise ReliabilityError(f"receive loop for {receiver!r} made no progress")
 
     def _retransmit(self, sender: str, state: _EndpointState) -> None:
-        for sequence in sorted(state.unacked):
-            self.inner.send(sender, encode_reliable(TYPE_DATA, sequence, state.unacked[sequence]))
+        for frame in self._core.unacked_frames(state):
+            self.inner.send(sender, frame)
             self._core.bump("retransmissions")
 
     # -- plumbing -----------------------------------------------------------
     def pending(self) -> int:
-        buffered = sum(
-            len(state.ready) + len(state.out_of_order) for state in self._states.values()
-        )
-        return self.inner.pending() + buffered
+        return self.inner.pending() + sum(state.buffered() for state in self._states.values())
 
     def close(self) -> None:
         self.inner.close()
@@ -303,16 +337,17 @@ def chaos_channel(
     return channel, faulty, reliable
 
 
-class AsyncReliableTransport:
+class AsyncReliableTransport(_LayerDelegate):
     """One reliable endpoint of a cross-process pair (asyncio convention).
 
     Wraps one async endpoint (an
     :class:`~repro.twopc.transport.AsyncTcpTransport` or its faulty wrapper)
     and exposes the same calling convention, so it slots directly under
-    :class:`~repro.twopc.transport.AsyncFramedChannel`.  Unlike the sync
-    channel, each endpoint only controls its own side: on a poll timeout it
-    retransmits its own unacked frames, and a duplicate inbound DATA frame
-    triggers both a re-ack and a retransmit of the unacked window.
+    :class:`~repro.twopc.transport.AsyncFramedChannel`; the ledger reads
+    through to the wrapped endpoint.  Unlike the sync channel, each endpoint
+    only controls its own side: on a poll timeout it retransmits its own
+    unacked frames, and a duplicate inbound DATA frame triggers both a re-ack
+    and a retransmit of the unacked window.
     """
 
     def __init__(
@@ -335,46 +370,13 @@ class AsyncReliableTransport:
     def stats(self) -> dict[str, int]:
         return dict(self._core.stats)
 
-    # -- ledger / identity delegation ---------------------------------------
-    @property
-    def parties(self) -> tuple[str, str]:
-        return self.inner.parties
-
-    @property
-    def local_party(self) -> str:
-        return self.inner.local_party
-
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.inner.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.inner.messages_by_sender
-
-    def peer_of(self, party: str) -> str:
-        return self.inner.peer_of(party)
-
-    def total_bytes(self) -> int:
-        return self.inner.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.inner.total_messages()
-
-    def rounds(self) -> int:
-        return self.inner.rounds()
-
     def pending(self) -> int:
-        return self.inner.pending() + len(self._state.ready) + len(self._state.out_of_order)
+        return self.inner.pending() + self._state.buffered()
 
     # -- frame movement ------------------------------------------------------
     async def send(self, sender: str, data: bytes) -> int:
         data = bytes(data)
-        state = self._state
-        sequence = state.next_sequence
-        state.next_sequence += 1
-        state.unacked[sequence] = data
-        await self.inner.send(sender, encode_reliable(TYPE_DATA, sequence, data))
+        await self.inner.send(sender, self._core.stamp(self._state, data))
         return len(data)
 
     async def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
@@ -383,9 +385,7 @@ class AsyncReliableTransport:
         for _ in range(self.max_attempts * 64):
             if state.ready:
                 return state.ready.popleft()
-            poll = self.base_timeout * (2 ** min(timeouts, 6))
-            if timeout_seconds is not None:
-                poll = min(poll, timeout_seconds)
+            poll = _poll_deadline(self.base_timeout, timeouts, timeout_seconds)
             try:
                 raw = await self.inner.receive(receiver, poll)
             except TransportTimeoutError:
@@ -399,18 +399,10 @@ class AsyncReliableTransport:
                 # the peer can respond.
                 await self._retransmit()
                 continue
-            try:
-                frame_type, sequence, payload = decode_reliable(raw)
-            except WireFormatError:
-                self._core.bump("corrupt_dropped")
-                continue
-            if frame_type == TYPE_ACK:
-                self._core.on_ack(state, sequence)
-                continue
-            cumulative, duplicate = self._core.on_data(state, sequence, payload)
-            if await self._send_control(encode_reliable(TYPE_ACK, cumulative)):
+            ack, retransmit = self._core.absorb(state, raw)
+            if ack is not None and await self._send_control(ack):
                 self._core.bump("acks_sent")
-            if duplicate and not state.ready:
+            if retransmit:
                 await self._retransmit()
         raise ReliabilityError(f"receive loop for {receiver!r} made no progress")
 
@@ -424,13 +416,6 @@ class AsyncReliableTransport:
         return True
 
     async def _retransmit(self) -> None:
-        state = self._state
-        for sequence in sorted(state.unacked):
-            if await self._send_control(encode_reliable(TYPE_DATA, sequence, state.unacked[sequence])):
+        for frame in self._core.unacked_frames(self._state):
+            if await self._send_control(frame):
                 self._core.bump("retransmissions")
-
-    async def aclose(self) -> None:
-        await self.inner.aclose()
-
-    def close(self) -> None:
-        self.inner.close()

@@ -382,7 +382,43 @@ class _ParkedDecryption:
     request: DecryptionRequest
 
 
-class SessionLoop:
+class _DecryptBatcher:
+    """The decrypt batch both frame pumps run: concatenate, meter, decrypt, split.
+
+    ``decrypt_batch_sizes`` records the size of every batched call — tests
+    and benchmarks use it to verify that batching actually happened.
+    """
+
+    def __init__(self) -> None:
+        self.decrypt_batch_sizes: list[int] = []
+        registry = get_registry()
+        self._metric_batches = registry.counter("decrypt_batches_total")
+        self._metric_batch_sizes = registry.histogram("decrypt_batch_ciphertexts")
+
+    def _decrypt_batch(
+        self, requests: Sequence[DecryptionRequest]
+    ) -> list[tuple[list[list[int]], float]]:
+        """One :func:`batch_decrypt` over *requests* (one key pair).
+
+        Returns each request's slot lists and its share of the batch's CPU
+        time, proportional to its ciphertext count.
+        """
+        ciphertexts = [ciphertext for request in requests for ciphertext in request.ciphertexts]
+        self.decrypt_batch_sizes.append(len(ciphertexts))
+        self._metric_batches.inc()
+        self._metric_batch_sizes.observe(len(ciphertexts))
+        slot_lists, per_ciphertext_seconds = batch_decrypt(
+            requests[0].scheme, requests[0].keypair, ciphertexts
+        )
+        shares, offset = [], 0
+        for request in requests:
+            count = len(request.ciphertexts)
+            shares.append((slot_lists[offset : offset + count], per_ciphertext_seconds * count))
+            offset += count
+        return shares
+
+
+class SessionLoop(_DecryptBatcher):
     """Drive any number of session jobs to completion over their channels.
 
     This is the *only* frame pump in the repository — the single-session
@@ -399,16 +435,7 @@ class SessionLoop:
     sessions.  Phase 2 is where concurrency pays: eight emails for one
     mailbox decrypt in one vectorised pass instead of eight.  Batch CPU time
     is attributed back to sessions proportionally to their ciphertext counts.
-
-    ``decrypt_batch_sizes`` records the size of every batched call — tests
-    and benchmarks use it to verify that batching actually happened.
     """
-
-    def __init__(self) -> None:
-        self.decrypt_batch_sizes: list[int] = []
-        registry = get_registry()
-        self._metric_batches = registry.counter("decrypt_batches_total")
-        self._metric_batch_sizes = registry.histogram("decrypt_batch_ciphertexts")
 
     def run(self, jobs: Sequence[SessionJob]) -> None:
         """Drive every job to completion; raises on protocol deadlock."""
@@ -465,22 +492,10 @@ class SessionLoop:
 
     def _service_group(self, entries: list[_ParkedDecryption]) -> None:
         """One ``decrypt_slots_many`` call covering *entries* (same key pair)."""
-        ciphertexts = [
-            ciphertext for entry in entries for ciphertext in entry.request.ciphertexts
-        ]
-        self.decrypt_batch_sizes.append(len(ciphertexts))
-        self._metric_batches.inc()
-        self._metric_batch_sizes.observe(len(ciphertexts))
-        slot_lists, per_ciphertext_seconds = batch_decrypt(
-            entries[0].request.scheme, entries[0].request.keypair, ciphertexts
-        )
-        offset = 0
-        for entry in entries:
-            count = len(entry.request.ciphertexts)
-            entry.session.add_seconds(per_ciphertext_seconds * count)
-            frames = entry.session.supply_decrypted(slot_lists[offset : offset + count])
-            offset += count
-            entry.job.dispatch(entry.party, frames)
+        shares = self._decrypt_batch([entry.request for entry in entries])
+        for entry, (slot_lists, seconds) in zip(entries, shares):
+            entry.session.add_seconds(seconds)
+            entry.job.dispatch(entry.party, entry.session.supply_decrypted(slot_lists))
 
 
 def decrypt_group_key(request: DecryptionRequest) -> tuple[int, int]:
@@ -546,16 +561,16 @@ def run_session_pair(
 # ---------------------------------------------------------------------------
 # The asyncio pump: one party's sessions over real TCP connections
 # ---------------------------------------------------------------------------
-class AsyncSessionPump:
+class AsyncSessionPump(_DecryptBatcher):
     """Drive one party's protocol sessions over async framed channels.
 
-    The cross-process twin of :class:`SessionLoop`.  A provider process runs
-    one pump for all of its live TCP connections; each connection's session is
-    a coroutine (:meth:`run_session`), so thousands of sessions share one
-    event loop.  Provider sessions that park a decryption await a shared
-    windowed flusher that folds requests *across connections* into one
-    ``decrypt_slots_many`` call per key pair — the same amortisation the
-    in-process serving loop gets, now across sockets.
+    The cross-process counterpart of :class:`SessionLoop`.  A provider
+    process runs one pump for all of its live TCP connections; each
+    connection's session is a coroutine (:meth:`run_session`), so thousands
+    of sessions share one event loop.  Provider sessions that park a
+    decryption await a shared windowed flusher that folds requests *across
+    connections* into one ``decrypt_slots_many`` call per key pair — the same
+    amortisation the in-process serving loop gets, now across sockets.
 
     ``window_seconds`` is the latency/throughput knob: ``0`` batches whatever
     parked within the same event-loop tick; a positive window accumulates
@@ -583,17 +598,14 @@ class AsyncSessionPump:
             raise ProtocolError("window_seconds must be non-negative")
         if max_pending_ciphertexts is not None and max_pending_ciphertexts < 1:
             raise ProtocolError("max_pending_ciphertexts must be at least 1")
+        super().__init__()
         self.controller = controller
         if controller is not None and max_pending_ciphertexts is None:
             max_pending_ciphertexts = controller.target_batch_items
         self.window_seconds = window_seconds
         self.max_pending_ciphertexts = max_pending_ciphertexts
-        self.decrypt_batch_sizes: list[int] = []
         self._pending: list[tuple[DecryptionRequest, "asyncio.Future"]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
-        registry = get_registry()
-        self._metric_batches = registry.counter("decrypt_batches_total")
-        self._metric_batch_sizes = registry.histogram("decrypt_batch_ciphertexts")
 
     async def run_session(self, channel, party: str, session: ProtocolSession) -> None:
         """Pump one session over *channel* until it finishes.
@@ -660,16 +672,8 @@ class AsyncSessionPump:
         for request, future in pending:
             groups.setdefault(decrypt_group_key(request), []).append((request, future))
         for entries in groups.values():
-            ciphertexts = [
-                ciphertext for request, _ in entries for ciphertext in request.ciphertexts
-            ]
-            self.decrypt_batch_sizes.append(len(ciphertexts))
-            self._metric_batches.inc()
-            self._metric_batch_sizes.observe(len(ciphertexts))
             try:
-                slot_lists, per_ciphertext_seconds = batch_decrypt(
-                    entries[0][0].scheme, entries[0][0].keypair, ciphertexts
-                )
+                shares = self._decrypt_batch([request for request, _ in entries])
             except Exception as error:  # noqa: BLE001 — must reach the sessions
                 # A failed batch (e.g. a hostile ciphertext) fails the parked
                 # sessions, never the flusher: when this runs from the timer
@@ -679,11 +683,6 @@ class AsyncSessionPump:
                     if not future.cancelled():
                         future.set_exception(error)
                 continue
-            offset = 0
-            for request, future in entries:
-                count = len(request.ciphertexts)
+            for (_, future), share in zip(entries, shares):
                 if not future.cancelled():
-                    future.set_result(
-                        (slot_lists[offset : offset + count], per_ciphertext_seconds * count)
-                    )
-                offset += count
+                    future.set_result(share)

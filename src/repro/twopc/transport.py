@@ -7,7 +7,7 @@ burst of consecutive frames from one direction; Figs. 3/6/11 report rounds
 alongside bytes).  Accounting is exact: a transport charges ``len(data)`` for
 every frame it accepts, nothing is estimated.
 
-Three implementations are provided:
+Three transports move bytes:
 
 * :class:`LoopbackTransport` — an in-process FIFO, the default for unit tests,
   benchmarks and the multi-session serving loop of :mod:`repro.core.runtime`;
@@ -22,15 +22,23 @@ Three implementations are provided:
   multiplexes many connections on one event loop
   (:class:`repro.twopc.session.AsyncSessionPump`).
 
-All byte-stream transports share :class:`FrameAssembler`, the incremental
-length-prefix parser, so framing behaviour under adversarial write splits
-(1-byte writes, frame-boundary straddles) is defined — and property-tested —
-exactly once.  A closed transport (or a peer hangup mid-frame) raises
+Only these three feed the process-wide ``transport_*`` counters, so a frame
+that crosses a stack of wrapping layers is counted once.  All of them share
+:class:`FrameAssembler`, the incremental length-prefix parser, so framing
+behaviour under adversarial write splits (1-byte writes, frame-boundary
+straddles) is defined — and property-tested — exactly once.  A closed
+transport (or a peer hangup mid-frame) raises
 :class:`~repro.exceptions.TransportClosedError`, never a raw ``OSError``.
 
-:class:`FramedChannel` layers a :class:`~repro.twopc.wire.WireCodec` on top:
-protocol code sends and receives *typed frames*, the transport sees bytes.
-:class:`AsyncFramedChannel` is its asyncio twin.
+Each layer stacked on a transport is written once and driven from both
+calling conventions.  The fault layer's logic lives in the sans-IO
+:class:`_FaultInjector`; :class:`FaultyTransport` and
+:class:`AsyncFaultyTransport` are loops that forward what it routes.
+:class:`FramedChannel` layers a :class:`~repro.twopc.wire.WireCodec` on top —
+protocol code sends and receives *typed frames*, the transport sees bytes —
+and :class:`AsyncFramedChannel` is the same channel with coroutine
+``send``/``receive``.  Layers without a ledger of their own read it through
+from the layer below (:class:`_LayerDelegate`).
 """
 
 from __future__ import annotations
@@ -100,8 +108,21 @@ class FrameAssembler:
         return len(self._buffer)
 
 
+def _assemble(assembler: FrameAssembler, chunk: bytes, name: str) -> list[bytes]:
+    """The frames one stream read completed; an empty read is a peer hangup."""
+    if not chunk:
+        where = " mid-frame" if assembler.buffered_bytes() else ""
+        raise TransportClosedError(f"transport {name!r} peer closed{where}")
+    return assembler.feed(chunk)
+
+
 class Transport(ABC):
     """Duplex byte transport between two named parties, with exact accounting."""
+
+    #: Whether this transport moves bytes itself and so feeds the process-wide
+    #: ``transport_*`` counters.  Wrapping layers (fault injection,
+    #: reliability) keep only their own ledger, so a frame is counted once.
+    _metered = True
 
     def __init__(self, parties: tuple[str, str], name: str = "transport") -> None:
         if len(set(parties)) != 2:
@@ -113,6 +134,8 @@ class Transport(ABC):
         self.frame_log: list[tuple[str, int]] = []  # (sender, size) per frame, in order
         self._last_sender: str | None = None
         self._rounds = 0
+        if not self._metered:
+            return
         # Registry instruments bound once here; _account only does arithmetic.
         registry = get_registry()
         self._metric_bytes = {
@@ -141,12 +164,15 @@ class Transport(ABC):
         self.bytes_by_sender[sender] += size
         self.messages_by_sender[sender] += 1
         self.frame_log.append((sender, size))
-        self._metric_bytes[sender].inc(size)
-        self._metric_frames[sender].inc()
-        if sender != self._last_sender:
+        new_round = sender != self._last_sender
+        if new_round:
             self._rounds += 1
-            self._metric_rounds.inc()
             self._last_sender = sender
+        if self._metered:
+            self._metric_bytes[sender].inc(size)
+            self._metric_frames[sender].inc()
+            if new_round:
+                self._metric_rounds.inc()
 
     # -- byte movement ------------------------------------------------------
     @abstractmethod
@@ -223,8 +249,6 @@ class SocketTransport(Transport):
     buffer.  Receives block (with *timeout*) on the receiving party's socket.
     """
 
-    _LENGTH = FRAME_LENGTH_PREFIX
-
     def __init__(
         self,
         parties: tuple[str, str] = ("client", "provider"),
@@ -241,6 +265,8 @@ class SocketTransport(Transport):
             self.parties[1]: right,
         }
         self._outboxes: dict[str, queue.Queue] = {party: queue.Queue() for party in self.parties}
+        self._assemblers = {party: FrameAssembler() for party in self.parties}
+        self._inbound: dict[str, deque[bytes]] = {party: deque() for party in self.parties}
         self._in_flight: dict[str, int] = {party: 0 for party in self.parties}
         self._lock = threading.Lock()
         self._closed = False
@@ -272,7 +298,7 @@ class SocketTransport(Transport):
         with self._lock:
             self._account(sender, len(data))
             self._in_flight[self.peer_of(sender)] += 1
-        self._outboxes[sender].put(self._LENGTH.pack(len(data)) + data)
+        self._outboxes[sender].put(FRAME_LENGTH_PREFIX.pack(len(data)) + data)
         return len(data)
 
     def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
@@ -280,16 +306,12 @@ class SocketTransport(Transport):
         if self._closed:
             raise TransportClosedError(f"transport {self.name!r} is closed")
         sock = self._sockets[receiver]
+        inbound = self._inbound[receiver]
         if timeout_seconds is not None:
             sock.settimeout(timeout_seconds)
         try:
-            header = self._read_exact(sock, self._LENGTH.size)
-            length = self._LENGTH.unpack(header)[0]
-            if length > MAX_FRAME_BYTES:
-                raise WireFormatError(
-                    f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap"
-                )
-            data = self._read_exact(sock, length)
+            while not inbound:
+                inbound.extend(_assemble(self._assemblers[receiver], sock.recv(65536), self.name))
         except socket.timeout as timeout:
             raise TransportTimeoutError(
                 f"timed out waiting for a frame for {receiver!r} on {self.name!r}"
@@ -303,17 +325,7 @@ class SocketTransport(Transport):
                 sock.settimeout(self.timeout)
         with self._lock:
             self._in_flight[receiver] -= 1
-        return data
-
-    @staticmethod
-    def _read_exact(sock: socket.socket, count: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < count:
-            chunk = sock.recv(count - len(chunks))
-            if not chunk:
-                raise TransportClosedError("socket transport peer closed mid-frame")
-            chunks += chunk
-        return bytes(chunks)
+        return inbound.popleft()
 
     def pending(self) -> int:
         with self._lock:
@@ -454,13 +466,7 @@ class AsyncTcpTransport(Transport):
                 raise TransportClosedError(
                     f"transport {self.name!r} connection failed: {error}"
                 ) from error
-            if not chunk:
-                if self._assembler.buffered_bytes():
-                    raise TransportClosedError(
-                        f"transport {self.name!r} peer closed mid-frame"
-                    )
-                raise TransportClosedError(f"transport {self.name!r} peer closed")
-            for frame in self._assembler.feed(chunk):
+            for frame in _assemble(self._assembler, chunk, self.name):
                 self._account(peer, len(frame))
                 self._inbound.append(frame)
         return self._inbound.popleft()
@@ -571,7 +577,13 @@ FAULT_LOG_CAP = 4096
 
 
 class _FaultInjector:
-    """Seeded fault decisions + the holdback queue, shared by sync/async wrappers."""
+    """Seeded fault decisions and the holdback queue: the sans-IO fault core.
+
+    It never moves a byte.  Each routing call returns the ``(sender, frame)``
+    pairs to forward, in order, and the sync and async wrappers are loops
+    that forward them — so both draw the same decision stream and keep the
+    same ledger by construction.
+    """
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
@@ -603,16 +615,33 @@ class _FaultInjector:
         """Exact per-kind tally, maintained in record() — unaffected by the log cap."""
         return dict(self._tally)
 
-    def check_disconnect(self, sender: str, size: int) -> None:
-        after = self.spec.disconnect_after_frames
+    def check_open(self) -> None:
         if self.disconnected:
             raise TransportClosedError("injected disconnect: the peer hung up")
+
+    def route(self, sender: str, data: bytes) -> list[tuple[str, bytes]]:
+        """Decide one outbound frame's fate; returns every frame to forward now.
+
+        That is the frame itself (none if dropped or held, two if
+        duplicated), then every held frame whose release deadline passed.
+        Raises :class:`~repro.exceptions.TransportClosedError` once the
+        injected disconnect has fired.
+        """
+        self.check_open()
+        after = self.spec.disconnect_after_frames
         if after is not None and self.sends >= after:
             self.disconnected = True
-            self.record(FaultKind.DISCONNECT, sender, size)
+            self.record(FaultKind.DISCONNECT, sender, len(data))
             raise TransportClosedError(
                 f"injected disconnect after {after} frames (mid-stream hangup)"
             )
+        kind, frame = self.decide(sender, data)
+        if kind in (FaultKind.REORDER, FaultKind.DELAY):
+            self.held.append((self.release_after(kind), sender, frame))
+            copies = 0
+        else:
+            copies = {FaultKind.DROP: 0, FaultKind.DUPLICATE: 2}.get(kind, 1)
+        return [(sender, frame)] * copies + self.take_due()
 
     def decide(self, sender: str, data: bytes) -> tuple[str | None, bytes]:
         """Draw the fault (if any) for one frame; returns (kind, frame bytes)."""
@@ -647,22 +676,46 @@ class _FaultInjector:
             return self.sends + 1  # the very next send overtakes this frame
         return self.sends + self.spec.delay_frames
 
-    def take_due(self, peer_of, force_receiver: str | None = None) -> list[tuple[str, bytes]]:
-        """Held frames whose deadline passed (or destined to *force_receiver*)."""
+    def take_due(self, owner: str | None = None) -> list[tuple[str, bytes]]:
+        """Held frames whose deadline passed, plus every held frame *owner* sent."""
         due: list[tuple[str, bytes]] = []
         still: list[tuple[int, str, bytes]] = []
         for release_at, sender, frame in self.held:
-            if release_at <= self.sends or (
-                force_receiver is not None and peer_of(sender) == force_receiver
-            ):
+            if release_at <= self.sends or sender == owner:
                 due.append((sender, frame))
             else:
                 still.append((release_at, sender, frame))
         self.held = still
         return due
 
+    def release_all(self) -> list[tuple[str, bytes]]:
+        """Every held frame, oldest deadline first; injected drops stay dropped."""
+        held, self.held = sorted(self.held), []
+        return [(sender, frame) for _, sender, frame in held]
 
-class FaultyTransport(Transport):
+
+class _FaultLedger:
+    """The fault ledger and held-frame count both fault wrappers expose."""
+
+    @property
+    def fault_log(self) -> list[FaultEvent]:
+        """The most recent ``FAULT_LOG_CAP`` fault events (bounded window)."""
+        return list(self._injector.fault_log)
+
+    @property
+    def fault_events_dropped(self) -> int:
+        """Events aged out of the bounded log (fault_counts() stays exact)."""
+        return self._injector.dropped_events
+
+    def fault_counts(self) -> dict[str, int]:
+        """Injected-fault tally by kind (the ledger tests assert against)."""
+        return self._injector.counts()
+
+    def pending(self) -> int:
+        return self.inner.pending() + len(self._injector.held)
+
+
+class FaultyTransport(_FaultLedger, Transport):
     """Wrap any synchronous :class:`Transport` and inject seeded faults.
 
     Frames accepted from a sender may be dropped, bit-flipped, reordered
@@ -681,90 +734,109 @@ class FaultyTransport(Transport):
     poll times out is released then.
     """
 
+    _metered = False
+
     def __init__(self, inner: Transport, spec: FaultSpec, name: str | None = None) -> None:
         super().__init__(inner.parties, name or f"faulty[{inner.name}]")
         self.inner = inner
         self.spec = spec
         self._injector = _FaultInjector(spec)
 
-    @property
-    def fault_log(self) -> list[FaultEvent]:
-        """The most recent ``FAULT_LOG_CAP`` fault events (bounded window)."""
-        return list(self._injector.fault_log)
-
-    @property
-    def fault_events_dropped(self) -> int:
-        """Events aged out of the bounded log (fault_counts() stays exact)."""
-        return self._injector.dropped_events
-
-    def fault_counts(self) -> dict[str, int]:
-        """Injected-fault tally by kind (the ledger tests assert against)."""
-        return self._injector.counts()
+    def _forward(self, frames: list[tuple[str, bytes]]) -> None:
+        for sender, frame in frames:
+            self.inner.send(sender, frame)
 
     def send(self, sender: str, data: bytes) -> int:
         self._check_party(sender)
         data = bytes(data)
-        self._injector.check_disconnect(sender, len(data))
+        frames = self._injector.route(sender, data)
         self._account(sender, len(data))
-        kind, frame = self._injector.decide(sender, data)
-        if kind == FaultKind.DROP:
-            pass
-        elif kind == FaultKind.DUPLICATE:
-            self.inner.send(sender, frame)
-            self.inner.send(sender, frame)
-        elif kind in (FaultKind.REORDER, FaultKind.DELAY):
-            self._injector.held.append((self._injector.release_after(kind), sender, frame))
-        else:
-            self.inner.send(sender, frame)
-        self._flush_due()
+        self._forward(frames)
         return len(data)
-
-    def _flush_due(self, force_receiver: str | None = None) -> None:
-        for sender, frame in self._injector.take_due(self.peer_of, force_receiver):
-            self.inner.send(sender, frame)
 
     def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
         self._check_party(receiver)
-        if self._injector.disconnected:
-            raise TransportClosedError("injected disconnect: the peer hung up")
-        self._flush_due()
+        self._injector.check_open()
         try:
             return self.inner.receive(receiver, timeout_seconds)
         except TransportTimeoutError:
-            # The stream dried up with frames still held back — release
-            # anything destined to this receiver and try once more, otherwise
+            # The stream dried up with frames still held back — release the
+            # ones the peer sent to this receiver and try once more, otherwise
             # a delayed final frame could never be delivered.
-            held_for_receiver = any(
-                self.peer_of(sender) == receiver for _, sender, _ in self._injector.held
-            )
-            if not held_for_receiver:
+            released = self._injector.take_due(owner=self.peer_of(receiver))
+            if not released:
                 raise
-            self._flush_due(force_receiver=receiver)
+            self._forward(released)
             return self.inner.receive(receiver, timeout_seconds)
 
-    def pending(self) -> int:
-        return self.inner.pending() + len(self._injector.held)
-
     def drain(self) -> None:
-        """Release every held frame, oldest first (see the async twin)."""
-        held = sorted(self._injector.held)
-        self._injector.held = []
-        for _, sender, frame in held:
-            self.inner.send(sender, frame)
+        """Release every held frame, oldest first (see :meth:`AsyncFaultyTransport.drain`)."""
+        self._forward(self._injector.release_all())
 
     def close(self) -> None:
         self.drain()
         self.inner.close()
 
 
-class AsyncFaultyTransport:
-    """The asyncio twin of :class:`FaultyTransport`: wraps one async endpoint.
+class _LayerDelegate:
+    """Identity, ledger and lifecycle read through to the layer below.
+
+    For layers that keep no ledger of their own — the typed-frame channels
+    and the async fault/reliability endpoints — every ledger question has
+    the answer of the layer they wrap (:attr:`_lower`, ``inner`` by default).
+    """
+
+    @property
+    def _lower(self):
+        return self.inner
+
+    @property
+    def parties(self) -> tuple[str, str]:
+        return self._lower.parties
+
+    @property
+    def local_party(self) -> str:
+        return self._lower.local_party
+
+    @property
+    def bytes_by_sender(self) -> dict[str, int]:
+        return self._lower.bytes_by_sender
+
+    @property
+    def messages_by_sender(self) -> dict[str, int]:
+        return self._lower.messages_by_sender
+
+    def peer_of(self, party: str) -> str:
+        return self._lower.peer_of(party)
+
+    def total_bytes(self) -> int:
+        return self._lower.total_bytes()
+
+    def total_messages(self) -> int:
+        return self._lower.total_messages()
+
+    def rounds(self) -> int:
+        return self._lower.rounds()
+
+    def pending(self) -> int:
+        return self._lower.pending()
+
+    def close(self) -> None:
+        self._lower.close()
+
+    async def aclose(self) -> None:
+        await self._lower.aclose()
+
+
+class AsyncFaultyTransport(_FaultLedger, _LayerDelegate):
+    """:class:`FaultyTransport` for one async endpoint (asyncio convention).
 
     Faults are injected on this endpoint's *outbound* frames (each endpoint of
     a TCP pair wraps its own side, mirroring where real damage happens), with
-    the same seeded decision stream and fault ledger as the sync wrapper.
-    Exposes the async :class:`Transport` calling convention plus the ledger
-    delegation :class:`AsyncFramedChannel` expects.
+    the same :class:`_FaultInjector` decision stream and fault ledger as the
+    sync wrapper; the ledger reads through to the wrapped endpoint.  Held
+    frames are this endpoint's own, so a receive timeout releases them all
+    before it surfaces: the peer cannot answer a frame still held here.
     """
 
     def __init__(self, inner, spec: FaultSpec, name: str | None = None) -> None:
@@ -773,81 +845,22 @@ class AsyncFaultyTransport:
         self.name = name or f"faulty[{inner.name}]"
         self._injector = _FaultInjector(spec)
 
-    @property
-    def parties(self) -> tuple[str, str]:
-        return self.inner.parties
-
-    @property
-    def local_party(self) -> str:
-        return self.inner.local_party
-
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.inner.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.inner.messages_by_sender
-
-    @property
-    def fault_log(self) -> list[FaultEvent]:
-        """The most recent ``FAULT_LOG_CAP`` fault events (bounded window)."""
-        return list(self._injector.fault_log)
-
-    @property
-    def fault_events_dropped(self) -> int:
-        return self._injector.dropped_events
-
-    def fault_counts(self) -> dict[str, int]:
-        return self._injector.counts()
-
-    def peer_of(self, party: str) -> str:
-        return self.inner.peer_of(party)
+    async def _forward(self, frames: list[tuple[str, bytes]]) -> None:
+        for sender, frame in frames:
+            await self.inner.send(sender, frame)
 
     async def send(self, sender: str, data: bytes) -> int:
         data = bytes(data)
-        self._injector.check_disconnect(sender, len(data))
-        kind, frame = self._injector.decide(sender, data)
-        if kind == FaultKind.DROP:
-            pass
-        elif kind == FaultKind.DUPLICATE:
-            await self.inner.send(sender, frame)
-            await self.inner.send(sender, frame)
-        elif kind in (FaultKind.REORDER, FaultKind.DELAY):
-            self._injector.held.append((self._injector.release_after(kind), sender, frame))
-        else:
-            await self.inner.send(sender, frame)
-        await self._flush_due()
+        await self._forward(self._injector.route(sender, data))
         return len(data)
 
-    async def _flush_due(self, force: bool = False) -> None:
-        for sender, frame in self._injector.take_due(
-            self.peer_of, force_receiver=self.local_party if force else None
-        ):
-            await self.inner.send(sender, frame)
-
     async def receive(self, receiver: str, timeout_seconds: float | None = None) -> bytes:
-        if self._injector.disconnected:
-            raise TransportClosedError("injected disconnect: the peer hung up")
+        self._injector.check_open()
         try:
             return await self.inner.receive(receiver, timeout_seconds)
         except TransportTimeoutError:
-            if not self._injector.held:
-                raise
-            await self._flush_due(force=True)
-            return await self.inner.receive(receiver, timeout_seconds)
-
-    def total_bytes(self) -> int:
-        return self.inner.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.inner.total_messages()
-
-    def rounds(self) -> int:
-        return self.inner.rounds()
-
-    def pending(self) -> int:
-        return self.inner.pending() + len(self._injector.held)
+            await self._forward(self._injector.take_due(owner=self.local_party))
+            raise
 
     async def drain(self) -> None:
         """Release every held frame into the inner transport, oldest first.
@@ -859,20 +872,14 @@ class AsyncFaultyTransport:
         Draining at end-of-stream (and on :meth:`aclose`) delivers the tail
         regardless of deadlines; injected *drops* stay dropped.
         """
-        held = sorted(self._injector.held)
-        self._injector.held = []
-        for _, sender, frame in held:
-            await self.inner.send(sender, frame)
+        await self._forward(self._injector.release_all())
 
     async def aclose(self) -> None:
         await self.drain()
         await self.inner.aclose()
 
-    def close(self) -> None:
-        self.inner.close()
 
-
-class FramedChannel:
+class FramedChannel(_LayerDelegate):
     """A typed frame channel: :class:`WireCodec` over a :class:`Transport`.
 
     This is what every protocol party holds.  ``send`` serializes a frame and
@@ -887,107 +894,43 @@ class FramedChannel:
         self.codec = codec
         self.name = name or transport.name
 
-    @classmethod
+    @property
+    def _lower(self) -> Transport:
+        return self.transport
+
+    @staticmethod
     def loopback(
-        cls,
         name: str = "channel",
         scheme: AHEScheme | None = None,
         public_key: AHEPublicKey | None = None,
         parties: tuple[str, str] = ("client", "provider"),
     ) -> "FramedChannel":
-        """An in-process framed channel (the default for protocol drivers)."""
-        return cls(
+        """An in-process framed channel (the default for protocol drivers).
+
+        Always a sync :class:`FramedChannel`: the loopback has no async side.
+        """
+        return FramedChannel(
             LoopbackTransport(parties=parties, name=name),
             WireCodec(scheme=scheme, public_key=public_key),
             name=name,
         )
 
-    # -- frame movement -----------------------------------------------------
     def send(self, sender: str, frame: Frame) -> int:
         return self.transport.send(sender, self.codec.encode(frame))
 
     def receive(self, receiver: str) -> Frame:
         return self.codec.decode(self.transport.receive(receiver))
 
-    # -- ledger (delegated) -------------------------------------------------
-    @property
-    def parties(self) -> tuple[str, str]:
-        return self.transport.parties
 
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.transport.bytes_by_sender
+class AsyncFramedChannel(FramedChannel):
+    """:class:`FramedChannel` over one async endpoint, with coroutine send/receive.
 
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.transport.messages_by_sender
-
-    def total_bytes(self) -> int:
-        return self.transport.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.transport.total_messages()
-
-    def rounds(self) -> int:
-        return self.transport.rounds()
-
-    def pending(self) -> int:
-        return self.transport.pending()
-
-    def close(self) -> None:
-        self.transport.close()
-
-
-class AsyncFramedChannel:
-    """Typed frames over an :class:`AsyncTcpTransport` (asyncio calling convention).
-
-    The async twin of :class:`FramedChannel`: ``send`` serializes and charges
-    the exact frame length, ``receive`` decodes the next assembled frame.  One
-    endpoint of a cross-process session holds one of these.
+    The transport is an :class:`AsyncTcpTransport` or an async layer over one;
+    one endpoint of a cross-process session holds one of these.
     """
 
-    def __init__(
-        self, transport: AsyncTcpTransport, codec: WireCodec, name: str | None = None
-    ) -> None:
-        self.transport = transport
-        self.codec = codec
-        self.name = name or transport.name
-
-    # -- frame movement -----------------------------------------------------
     async def send(self, sender: str, frame: Frame) -> int:
         return await self.transport.send(sender, self.codec.encode(frame))
 
     async def receive(self, receiver: str) -> Frame:
         return self.codec.decode(await self.transport.receive(receiver))
-
-    # -- ledger (delegated) -------------------------------------------------
-    @property
-    def parties(self) -> tuple[str, str]:
-        return self.transport.parties
-
-    @property
-    def local_party(self) -> str:
-        return self.transport.local_party
-
-    @property
-    def bytes_by_sender(self) -> dict[str, int]:
-        return self.transport.bytes_by_sender
-
-    @property
-    def messages_by_sender(self) -> dict[str, int]:
-        return self.transport.messages_by_sender
-
-    def total_bytes(self) -> int:
-        return self.transport.total_bytes()
-
-    def total_messages(self) -> int:
-        return self.transport.total_messages()
-
-    def rounds(self) -> int:
-        return self.transport.rounds()
-
-    def pending(self) -> int:
-        return self.transport.pending()
-
-    async def aclose(self) -> None:
-        await self.transport.aclose()

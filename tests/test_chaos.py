@@ -16,6 +16,7 @@ reproducible — the same discipline as the wire-fuzz suite.
 
 import asyncio
 import os
+import time
 
 import pytest
 
@@ -32,6 +33,7 @@ from repro.exceptions import (
     ProtocolError,
     SnapshotError,
     TransportClosedError,
+    TransportTimeoutError,
 )
 from repro.twopc.reliable import AsyncReliableTransport, chaos_channel
 from repro.twopc.session import AsyncSessionPump
@@ -451,6 +453,44 @@ class TestHeldFrameDrain:
         # injector holds nothing, the inner ledger charged the send.
         assert faulty._injector.held == []
         assert faulty.inner.messages_by_sender.get("client") == 1
+
+    def test_async_receive_timeout_releases_own_held_tail(self):
+        # An async wrapper's held frames are its own outbound ones, so the
+        # peer cannot answer until they go out: a receive timeout must
+        # release them, and surface after one timeout, not two.
+        timeout = 0.25
+
+        async def scenario():
+            accepted = asyncio.get_running_loop().create_future()
+
+            async def on_connect(reader, writer):
+                accepted.set_result(AsyncTcpTransport(reader, writer, local_party="provider"))
+                await asyncio.Event().wait()  # keep the connection open
+
+            server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = AsyncFaultyTransport(
+                await AsyncTcpTransport.connect("127.0.0.1", port),
+                FaultSpec(delay_rate=1.0, seed=1),
+            )
+            provider = await accepted
+            try:
+                await client.send("client", b"hello")
+                assert client.pending() == 1  # held, nothing on the wire
+                begin = time.perf_counter()
+                with pytest.raises(TransportTimeoutError):
+                    await client.receive("client", timeout)
+                waited = time.perf_counter() - begin
+                assert client.pending() == 0
+                assert await provider.receive("provider", 5.0) == b"hello"
+                assert waited < 1.8 * timeout
+            finally:
+                await client.aclose()
+                await provider.aclose()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
     def test_async_drain_and_aclose_deliver_stranded_tail(self):
         class _RecordingInner:

@@ -402,6 +402,14 @@ class TestFabricMigration:
             _reap(agents)
 
 
+class TestAgentProcess:
+    def test_wait_closes_the_stdout_pipe(self):
+        agent = spawn_local_agent(shard_index=0)
+        agent.kill()
+        assert agent.wait(timeout=10.0) is not None
+        assert agent.process.stdout.closed
+
+
 class TestSystemIntegration:
     def test_drain_all_mailboxes_sharded_accepts_a_fabric(self, test_config):
         """The system-level drive loop cannot tell the fabrics apart."""

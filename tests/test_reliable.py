@@ -5,6 +5,8 @@ reliability mechanics in isolation — header codec, CRC verification, dedup,
 in-order reassembly, retransmit-on-timeout, and the give-up bound.
 """
 
+import asyncio
+
 import pytest
 
 from repro.exceptions import (
@@ -13,15 +15,22 @@ from repro.exceptions import (
     TransportTimeoutError,
     WireFormatError,
 )
+from repro.obs import scoped_registry
 from repro.twopc.reliable import (
     RELIABLE_HEADER,
     TYPE_ACK,
     TYPE_DATA,
     ReliableChannel,
+    chaos_channel,
     decode_reliable,
     encode_reliable,
 )
-from repro.twopc.transport import FaultSpec, FaultyTransport, LoopbackTransport
+from repro.twopc.transport import (
+    AsyncFaultyTransport,
+    FaultSpec,
+    FaultyTransport,
+    LoopbackTransport,
+)
 
 
 def _lossy(spec: FaultSpec, parties=("client", "provider")) -> tuple[FaultyTransport, ReliableChannel]:
@@ -183,28 +192,105 @@ class TestFaultSpecValidation:
         assert spec.seed == 9
 
 
+class _AsyncLoopback:
+    """The async send convention over an in-process LoopbackTransport."""
+
+    def __init__(self):
+        self.inner = LoopbackTransport()
+        self.name = self.inner.name
+
+    async def send(self, sender, data):
+        return self.inner.send(sender, data)
+
+
+def _faulty_after_traffic(spec: FaultSpec, wrapper: str):
+    """The fault wrapper after 25 client frames (and their acks) went through.
+
+    The sync input is a ReliableChannel over a FaultyTransport.  The async
+    input replays the send sequence that FaultyTransport accepted through an
+    AsyncFaultyTransport; fault decisions depend on the sender and the frame
+    size only, so zero-filled frames of the logged sizes are the same sends.
+    """
+    faulty, channel = _lossy(spec)
+    for index in range(25):
+        channel.send("client", bytes([index]) * 12)
+        channel.receive("provider")
+    if wrapper == "sync":
+        return faulty
+    replay = AsyncFaultyTransport(_AsyncLoopback(), spec)
+
+    async def send_all():
+        for sender, size in faulty.frame_log:
+            await replay.send(sender, bytes(size))
+
+    asyncio.run(send_all())
+    return replay
+
+
+#: Both fault wrappers are inputs to every determinism test.
+WRAPPERS = ("sync", "async")
+
+
 class TestFaultDeterminism:
-    def _ledger(self, seed: int):
-        faulty, channel = _lossy(FaultSpec.loss_cocktail(0.2, seed=seed))
-        for index in range(25):
-            channel.send("client", bytes([index]) * 12)
-            channel.receive("provider")
-        return faulty.fault_log
+    def _ledger(self, seed: int, wrapper: str):
+        return _faulty_after_traffic(FaultSpec.loss_cocktail(0.2, seed=seed), wrapper).fault_log
 
     def test_same_seed_same_ledger(self):
-        assert self._ledger(11) == self._ledger(11)
+        # Both wrappers drive one injector: the same seed and the same sends
+        # give the same fault events, frame for frame, under either wrapper.
+        reference = self._ledger(11, "sync")
+        assert reference
+        for wrapper in WRAPPERS:
+            assert self._ledger(11, wrapper) == reference
 
     def test_different_seed_different_ledger(self):
-        assert self._ledger(11) != self._ledger(12)
+        for wrapper in WRAPPERS:
+            assert self._ledger(11, wrapper) != self._ledger(12, wrapper)
 
     def test_ledger_matches_counts(self):
-        faulty, channel = _lossy(FaultSpec.loss_cocktail(0.2, seed=13))
-        for index in range(25):
-            channel.send("client", bytes([index]) * 12)
-            channel.receive("provider")
-        counts = faulty.fault_counts()
-        assert counts == {
-            kind: sum(1 for event in faulty.fault_log if event.kind == kind)
-            for kind in counts
-        }
-        assert all(event.size > 0 for event in faulty.fault_log)
+        spec = FaultSpec.loss_cocktail(0.2, seed=13)
+        reference = _faulty_after_traffic(spec, "sync").fault_counts()
+        for wrapper in WRAPPERS:
+            faulty = _faulty_after_traffic(spec, wrapper)
+            counts = faulty.fault_counts()
+            assert counts == reference
+            assert counts == {
+                kind: sum(1 for event in faulty.fault_log if event.kind == kind)
+                for kind in counts
+            }
+            assert all(event.size > 0 for event in faulty.fault_log)
+
+
+def _transport_counters(registry) -> dict[tuple[str, str | None], float]:
+    return {
+        (entry["name"], entry["labels"].get("party")): entry["value"]
+        for entry in registry.snapshot()["counters"]
+        if entry["name"].startswith("transport_")
+    }
+
+
+class TestRegistryCountsEachFrameOnce:
+    def test_stacked_layers_count_a_frame_once(self):
+        with scoped_registry() as registry:
+            _, faulty, reliable = chaos_channel(FaultSpec())
+            reliable.send("client", b"x" * 100)
+            assert reliable.receive("provider") == b"x" * 100
+        loopback = faulty.inner
+        counters = _transport_counters(registry)
+        # Only the loopback moved bytes: a 110-byte DATA frame and a 10-byte ACK.
+        assert counters[("transport_bytes_total", "client")] == 110
+        assert counters[("transport_bytes_total", "provider")] == 10
+        assert loopback.bytes_by_sender == {"client": 110, "provider": 10}
+        assert counters[("transport_frames_total", "client")] == 1
+        assert counters[("transport_frames_total", "provider")] == 1
+        assert counters[("transport_rounds_total", None)] == loopback.rounds() == 2
+        # The wrappers keep their own per-instance ledgers.
+        assert reliable.bytes_by_sender["client"] == 100
+        assert faulty.bytes_by_sender == {"client": 110, "provider": 10}
+
+    def test_bare_loopback_still_feeds_the_registry(self):
+        with scoped_registry() as registry:
+            LoopbackTransport().send("client", b"x" * 100)
+        counters = _transport_counters(registry)
+        assert counters[("transport_bytes_total", "client")] == 100
+        assert counters[("transport_frames_total", "client")] == 1

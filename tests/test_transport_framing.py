@@ -208,6 +208,22 @@ class TestReceiveTimeouts:
         finally:
             transport.close()
 
+    def test_socket_timeout_mid_frame_keeps_the_partial_frame(self):
+        # A deadline that expires inside a frame must not lose the bytes
+        # read so far: the next receive completes the same frame.
+        transport = SocketTransport(timeout=10.0)
+        try:
+            stream = _stream_of([b"split across a timeout", b"next"])
+            raw = transport._sockets["client"]
+            raw.sendall(stream[:10])
+            with pytest.raises(TransportTimeoutError):
+                transport.receive("provider", timeout_seconds=0.05)
+            raw.sendall(stream[10:])
+            assert transport.receive("provider") == b"split across a timeout"
+            assert transport.receive("provider") == b"next"
+        finally:
+            transport.close()
+
     def test_async_receive_timeout_raises(self):
         async def scenario():
             server, provider, client = await _tcp_pair()()
